@@ -3,8 +3,9 @@
 Capabilities: a greedy heuristic with feasibility lookahead, exact
 branch-and-bound oracles (budgeted cover, plain cover, max clique), the
 clique-to-cover complement reduction with certificate translation, a
-maximal-matching 2-approximation baseline, seeded instance generators, a
-text instance format, and a benchmark harness.
+maximal-matching 2-approximation baseline, one `solve(inst, algo)` dispatcher
+over the three solvers, seeded instance generators, a text instance format,
+and a benchmark harness.
 """
 
 from .approx import matching_vertex_cover, two_approx_vc
@@ -26,28 +27,29 @@ from .graph import (Budgets, Graph, Instance, KPartition, ValidationReport,
                     validate_instance)
 from .heuristic import (CoverResult, HeuristicState, extract_max,
                         make_decision, solve_cvck)
-from .ioformat import (emit_result, parse_instance, result_csv_header,
-                       result_fields, serialize_instance)
+from .ioformat import parse_instance, serialize_instance
 from .reduction import (ReductionOutput, clique_cert_to_cover,
                         cover_cert_to_clique, reduce_clique_to_vc)
+from .solvers import ALGOS, SolveResult, solve
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Budgets", "BenchConfig", "BenchRecord", "BenchSummary", "CoverResult",
-    "ExactResult", "GenSpec", "Graph", "HeuristicState", "Instance",
-    "InstanceInvalidError", "InstanceTooLargeError", "KOutOfRangeError",
-    "KPCoverError", "KPartition", "NotACliqueError", "NotACoverError",
-    "ParseError", "ReductionOutput", "SelfLoopError", "SpecInvalidError",
-    "SplitMix64", "ValidationReport", "VertexOutOfRangeError",
+    "ALGOS", "Budgets", "BenchConfig", "BenchRecord", "BenchSummary",
+    "CoverResult", "ExactResult", "GenSpec", "Graph", "HeuristicState",
+    "Instance", "InstanceInvalidError", "InstanceTooLargeError",
+    "KOutOfRangeError", "KPCoverError", "KPartition", "NotACliqueError",
+    "NotACoverError", "ParseError", "ReductionOutput", "SelfLoopError",
+    "SolveResult", "SpecInvalidError", "SplitMix64", "ValidationReport",
+    "VertexOutOfRangeError",
     "build_graph", "canonicalize_partition", "clique_cert_to_cover",
     "complement", "cover_cert_to_clique", "cvck_feasible", "derive_budgets",
-    "emit_result", "enumerate_min_cvck", "exact_cvck", "exact_max_clique",
+    "enumerate_min_cvck", "exact_cvck", "exact_max_clique",
     "exact_min_vc", "extract_max", "gen_complete_kpartite", "gen_kpartite",
     "gen_tree", "greedy_partition", "is_clique", "is_vertex_cover",
     "loglog_slope", "make_decision", "make_partition", "matching_vertex_cover",
     "parse_budget_mode", "parse_instance", "per_part_usage",
-    "reduce_clique_to_vc", "respects_budgets", "result_csv_header",
-    "result_fields", "run_bench", "serialize_instance", "solve_cvck",
+    "reduce_clique_to_vc", "respects_budgets", "run_bench",
+    "serialize_instance", "solve", "solve_cvck",
     "summary_text", "two_approx_vc", "validate_instance", "write_csv",
 ]

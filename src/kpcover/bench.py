@@ -8,26 +8,21 @@ op_count is the portable effort metric.
 from __future__ import annotations
 
 import csv
-import time
+import math
+import statistics
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import IO
 
-import numpy as np
-
-from .approx import two_approx_vc
-from .exact import exact_cvck
 from .generate import (GenSpec, SplitMix64, gen_kpartite, gen_tree,
                        parse_budget_mode)
-from .heuristic import solve_cvck
+from .solvers import ALGOS, solve
 
 DEFAULT_EXACT_CUTOFF = 22
 
 BENCH_CSV_COLUMNS = ("instance_id", "n", "k", "density", "seed", "budget_mode",
                      "algo", "status", "size", "optimum", "gap", "op_count",
                      "wall_ms")
-
-ALGO_ORDER = ("cvck", "exact", "2approx")
 
 
 @dataclass(frozen=True)
@@ -112,42 +107,23 @@ def run_bench(config: BenchConfig) -> tuple[list[BenchRecord], BenchSummary]:
             base = dict(instance_id=instance_id, n=n, k=k, density=density,
                         seed=inst_seed, budget_mode=mode_used)
 
-            run_exact = n <= config.exact_cutoff
-            optimum = None
-            exact_rec = None
-            if run_exact:
-                t0 = time.perf_counter()
-                eres = exact_cvck(instance)
-                wall = (time.perf_counter() - t0) * 1000.0
-                optimum = eres.size
-                exact_rec = BenchRecord(**base, algo="exact", status=eres.status,
-                                        size=eres.size, optimum=eres.size,
-                                        gap=0 if eres.feasible else None,
-                                        op_count=None, wall_ms=wall)
-
-            t0 = time.perf_counter()
-            hres = solve_cvck(instance)
-            wall = (time.perf_counter() - t0) * 1000.0
-            hsize = hres.size if hres.success else None
-            hgap = (hsize - optimum) if (hsize is not None and optimum is not None) else None
-            cvck_rec = BenchRecord(**base, algo="cvck", status=hres.status,
-                                   size=hsize, optimum=optimum, gap=hgap,
-                                   op_count=hres.op_count, wall_ms=wall)
-
-            t0 = time.perf_counter()
-            acover = two_approx_vc(instance.graph)
-            wall = (time.perf_counter() - t0) * 1000.0
-            agap = (len(acover) - optimum) if optimum is not None else None
-            approx_rec = BenchRecord(**base, algo="2approx", status="Success",
-                                     size=len(acover), optimum=optimum, gap=agap,
-                                     op_count=None, wall_ms=wall)
-
-            for rec in (cvck_rec, exact_rec, approx_rec):
-                if rec is not None:
-                    records.append(rec)
-            per_instance.append(dict(n=n, oracle=run_exact, optimum=optimum,
-                                     success=hres.success, size=hsize,
-                                     op_count=hres.op_count))
+            results = {algo: solve(instance, algo) for algo in ALGOS
+                       if algo != "exact" or n <= config.exact_cutoff}
+            oracle = results.get("exact")
+            optimum = oracle.size if oracle is not None else None
+            for algo, res in results.items():
+                size = res.size if res.ok else None
+                gap = (size - optimum
+                       if size is not None and optimum is not None else None)
+                records.append(BenchRecord(**base, algo=algo, status=res.status,
+                                           size=size, optimum=optimum, gap=gap,
+                                           op_count=res.fields.get("op_count"),
+                                           wall_ms=res.fields["wall_ms"]))
+            cvck = results["cvck"]
+            per_instance.append(dict(n=n, oracle=oracle is not None,
+                                     optimum=optimum, success=cvck.ok,
+                                     size=cvck.size if cvck.ok else None,
+                                     op_count=cvck.fields["op_count"]))
 
     _summarize(summary, per_instance)
     return records, summary
@@ -193,14 +169,14 @@ def _summarize(summary: BenchSummary, per_instance: list[dict]) -> None:
 
 def loglog_slope(ns: list[int], values: list[float]) -> tuple[float, float]:
     """Least-squares slope and R^2 of log(value) against log(n)."""
-    x = np.log(np.asarray(ns, dtype=float))
-    y = np.log(np.asarray(values, dtype=float))
-    slope, intercept = np.polyfit(x, y, 1)
-    pred = slope * x + intercept
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    x = [math.log(n) for n in ns]
+    y = [math.log(v) for v in values]
+    slope, intercept = statistics.linear_regression(x, y)
+    mean_y = statistics.fmean(y)
+    ss_res = sum((yi - (slope * xi + intercept)) ** 2 for xi, yi in zip(x, y))
+    ss_tot = sum((yi - mean_y) ** 2 for yi in y)
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(slope), r2
+    return slope, r2
 
 
 def write_csv(records: list[BenchRecord], out: IO[str]) -> None:

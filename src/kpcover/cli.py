@@ -11,20 +11,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
-from .approx import two_approx_vc
 from .bench import (DEFAULT_EXACT_CUTOFF, BenchConfig, run_bench,
                     summary_text, write_csv)
 from .errors import (InstanceInvalidError, KOutOfRangeError, ParseError,
                      SpecInvalidError)
-from .exact import exact_cvck
+from .exact import INFEASIBLE
 from .generate import GenSpec, gen_complete_kpartite, gen_kpartite, gen_tree
-from .graph import (Budgets, Instance, greedy_partition, respects_budgets,
-                    validate_instance)
-from .heuristic import solve_cvck
-from .ioformat import parse_instance, result_fields, serialize_instance
+from .graph import Budgets, Instance, greedy_partition, validate_instance
+from .heuristic import HEURISTIC_FAILURE
+from .ioformat import parse_instance, serialize_instance
 from .reduction import reduce_clique_to_vc
+from .solvers import ALGOS, solve
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -32,6 +30,8 @@ EXIT_PARSE = 2
 EXIT_INVALID = 3
 EXIT_HEURISTIC_FAILURE = 4
 EXIT_INFEASIBLE = 5
+EXIT_BY_STATUS = {HEURISTIC_FAILURE: EXIT_HEURISTIC_FAILURE,
+                  INFEASIBLE: EXIT_INFEASIBLE}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -69,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve an instance file")
     p.add_argument("path")
-    p.add_argument("--algo", choices=["cvck", "exact", "2approx"], default="cvck")
+    p.add_argument("--algo", choices=ALGOS, default="cvck")
     p.add_argument("--output", choices=["json", "text"], default="json")
     p.set_defaults(func=cmd_solve)
 
@@ -124,34 +124,18 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    inst = _load_instance(args.path)
-    t0 = time.perf_counter()
-    if args.algo == "cvck":
-        result = solve_cvck(inst)
-        code = EXIT_OK if result.success else EXIT_HEURISTIC_FAILURE
-    elif args.algo == "exact":
-        result = exact_cvck(inst)
-        code = EXIT_OK if result.feasible else EXIT_INFEASIBLE
-    else:
-        result = two_approx_vc(inst.graph)
-        code = EXIT_OK
-    wall_ms = (time.perf_counter() - t0) * 1000.0
-
-    fields = result_fields(result, instance=inst, algo=args.algo, wall_ms=wall_ms)
-    if args.algo == "2approx":
-        fields["budget_violation"] = not respects_budgets(inst, result)
+    result = solve(_load_instance(args.path), args.algo)
+    fields = result.fields
     if args.output == "json":
         print(json.dumps(fields))
     else:
         for key, value in fields.items():
-            if key == "cover":
-                value = " ".join(str(v) for v in value)
-            elif key == "per_part_usage" and value is not None:
+            if isinstance(value, list):  # cover, per_part_usage
                 value = " ".join(str(v) for v in value)
             elif key == "wall_ms":
                 value = f"{value:.3f}"
             print(f"{key}: {value}")
-    return code
+    return EXIT_BY_STATUS.get(result.status, EXIT_OK)
 
 
 def cmd_reduce_clique(args: argparse.Namespace) -> int:
@@ -202,3 +186,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         write_csv(records, f)
     sys.stdout.write(summary_text(summary))
     return EXIT_OK
+
+
+if __name__ == "__main__":
+    entry()

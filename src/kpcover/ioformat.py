@@ -1,4 +1,4 @@
-"""Text instance format and structured result output.
+"""Text instance format.
 
 Instance grammar, one record per line, fields space-separated, ASCII decimal
 integers, UTF-8 with LF line endings:
@@ -16,17 +16,9 @@ canonical serialization (sorted records, no comments) is byte-stable.
 
 from __future__ import annotations
 
-import json
-from typing import Any
-
 from .errors import InstanceInvalidError, ParseError
-from .exact import ExactResult
 from .graph import (Budgets, Instance, build_graph, make_partition,
-                    per_part_usage, validate_instance)
-from .heuristic import CoverResult
-
-RESULT_CSV_FIELDS = ("algo", "status", "cover", "size", "per_part_usage",
-                     "effort", "wall_ms")
+                    validate_instance)
 
 
 def parse_instance(text: str) -> Instance:
@@ -94,14 +86,16 @@ def parse_instance(text: str) -> Instance:
     if len(e_records) != m:
         raise ParseError(p_lineno, "CountMismatch",
                          f"p line declares {m} edges, file has {len(e_records)}")
-    missing_v = [v for v in range(1, n + 1) if v not in v_records]
-    if missing_v:
+    # compare counts before scanning ids: n and k come from the header, and
+    # the file need not hold anywhere near that many records
+    if len(v_records) != n:
+        missing = next(v for v in range(1, n + 1) if v not in v_records)
         raise ParseError(p_lineno, "MissingVertexAssignment",
-                         f"no v record for vertex {missing_v[0]}")
-    missing_b = [p for p in range(1, k + 1) if p not in b_records]
-    if missing_b:
+                         f"no v record for vertex {missing}")
+    if len(b_records) != k:
+        missing = next(p for p in range(1, k + 1) if p not in b_records)
         raise ParseError(p_lineno, "MissingBudget",
-                         f"no b record for part {missing_b[0]}")
+                         f"no b record for part {missing}")
     for lineno, u, v in e_records:
         if v_records[u] == v_records[v]:
             raise ParseError(lineno, "IntraPartEdge",
@@ -123,65 +117,6 @@ def serialize_instance(inst: Instance) -> str:
     lines += [f"b {p} {budgets.limits[p - 1]}" for p in range(1, part.k + 1)]
     lines += [f"e {u} {v}" for u, v in g.sorted_edges()]
     return "\n".join(lines) + "\n"
-
-
-def result_fields(result: Any, instance: Instance | None = None,
-                  algo: str = "", wall_ms: float | None = None) -> dict[str, Any]:
-    """Normalize a solver result into the shared output field set.
-
-    The effort field is op_count for heuristic results and nodes_explored
-    for exact results; plain cover sets (the 2-approx baseline) have none.
-    """
-    fields: dict[str, Any] = {"algo": algo}
-    if isinstance(result, CoverResult):
-        fields["status"] = result.status
-        fields["cover"] = sorted(result.cover)
-        fields["size"] = result.size
-        fields["per_part_usage"] = list(result.per_part_usage)
-        fields["op_count"] = result.op_count
-    elif isinstance(result, ExactResult):
-        fields["status"] = result.status
-        cover = sorted(result.cover) if result.cover is not None else []
-        fields["cover"] = cover
-        fields["size"] = result.size
-        if result.feasible and instance is not None:
-            fields["per_part_usage"] = list(per_part_usage(instance.partition, cover))
-        else:
-            fields["per_part_usage"] = None
-        fields["nodes_explored"] = result.nodes_explored
-    else:  # plain vertex set
-        cover = sorted(result)
-        fields["status"] = "Success"
-        fields["cover"] = cover
-        fields["size"] = len(cover)
-        fields["per_part_usage"] = (list(per_part_usage(instance.partition, cover))
-                                    if instance is not None else None)
-    fields["wall_ms"] = wall_ms
-    return fields
-
-
-def result_csv_header() -> str:
-    return ",".join(RESULT_CSV_FIELDS)
-
-
-def emit_result(result: Any, format: str = "json", *, algo: str = "",
-                instance: Instance | None = None,
-                wall_ms: float | None = None) -> str:
-    """Render a result as a JSON object or a CSV row (see RESULT_CSV_FIELDS)."""
-    fields = result_fields(result, instance=instance, algo=algo, wall_ms=wall_ms)
-    if format == "json":
-        return json.dumps(fields)
-    if format == "csv-row":
-        effort = fields.get("op_count", fields.get("nodes_explored"))
-        usage = fields["per_part_usage"]
-        row = [fields["algo"], fields["status"],
-               ";".join(str(v) for v in fields["cover"]),
-               "" if fields["size"] is None else str(fields["size"]),
-               "" if usage is None else ";".join(str(u) for u in usage),
-               "" if effort is None else str(effort),
-               "" if wall_ms is None else repr(wall_ms)]
-        return ",".join(row)
-    raise ValueError(f"unknown result format {format!r}")
 
 
 def _ints(lineno: int, tokens: list[str]) -> list[int]:

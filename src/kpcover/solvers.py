@@ -1,0 +1,67 @@
+"""One dispatcher from an algorithm name to a solve outcome.
+
+`solve(inst, algo)` runs the heuristic (cvck), the exact oracle (exact) or
+the matching 2-approximation (2approx) and returns a SolveResult whose
+`fields` is the JSON object `kpcover solve` prints, keys in this order:
+
+    algo, status, cover, size, per_part_usage, [effort], wall_ms[, budget_violation]
+
+The effort key is op_count for cvck and nodes_explored for exact; 2approx
+has none, ignores budgets, and reports budget_violation instead. An
+infeasible exact result has `cover: []`, `size: null` and
+`per_part_usage: null`. wall_ms times the solver call alone.
+"""
+
+from __future__ import annotations
+
+import time
+from dataclasses import dataclass
+from typing import Any
+
+from .approx import two_approx_vc
+from .exact import INFEASIBLE, exact_cvck
+from .graph import Instance, per_part_usage, respects_budgets
+from .heuristic import SUCCESS, solve_cvck
+
+ALGOS = ("cvck", "exact", "2approx")
+
+
+@dataclass(frozen=True)
+class SolveResult:
+    """One solver run. ok is False on HeuristicFailure and Infeasible."""
+    algo: str
+    status: str
+    ok: bool
+    cover: frozenset[int]
+    size: int | None
+    fields: dict[str, Any]
+
+
+def solve(inst: Instance, algo: str) -> SolveResult:
+    """Run one of ALGOS on inst; ValueError for any other name."""
+    t0 = time.perf_counter()
+    if algo == "cvck":
+        res = solve_cvck(inst)
+        wall_ms = (time.perf_counter() - t0) * 1000.0
+        status, ok, cover = res.status, res.success, res.cover
+        effort = {"op_count": res.op_count}
+    elif algo == "exact":
+        res = exact_cvck(inst)
+        wall_ms = (time.perf_counter() - t0) * 1000.0
+        status, ok, cover = res.status, res.feasible, res.cover or frozenset()
+        effort = {"nodes_explored": res.nodes_explored}
+    elif algo == "2approx":
+        cover = two_approx_vc(inst.graph)
+        wall_ms = (time.perf_counter() - t0) * 1000.0
+        status, ok, effort = SUCCESS, True, {}
+    else:
+        raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGOS}")
+
+    size = None if status == INFEASIBLE else len(cover)
+    usage = None if size is None else list(per_part_usage(inst.partition, cover))
+    fields = {"algo": algo, "status": status, "cover": sorted(cover),
+              "size": size, "per_part_usage": usage, **effort, "wall_ms": wall_ms}
+    if algo == "2approx":
+        fields["budget_violation"] = not respects_budgets(inst, cover)
+    return SolveResult(algo=algo, status=status, ok=ok, cover=cover, size=size,
+                       fields=fields)

@@ -3,8 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import kpcover
 from kpcover.cli import main
+
+SRC = str(Path(kpcover.__file__).resolve().parents[1])
 
 PATH_FILE = """p kpvc 3 2 2
 v 1 1
@@ -93,6 +102,18 @@ class TestSolve:
         out = json.loads(capsys.readouterr().out)
         assert out["size"] == 2 and out["budget_violation"] is True
 
+    @pytest.mark.parametrize("algo, keys", [
+        ("cvck", ["op_count", "wall_ms"]),
+        ("exact", ["nodes_explored", "wall_ms"]),
+        ("2approx", ["wall_ms", "budget_violation"]),
+    ])
+    def test_json_key_order(self, tmp_path, capsys, algo, keys):
+        path = write(tmp_path, "p.kpvc", PATH_FILE)
+        assert main(["solve", path, "--algo", algo]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert list(out) == ["algo", "status", "cover", "size",
+                             "per_part_usage"] + keys
+
     def test_text_output(self, tmp_path, capsys):
         path = write(tmp_path, "p.kpvc", PATH_FILE)
         assert main(["solve", path, "--algo", "cvck", "--output", "text"]) == 0
@@ -133,6 +154,16 @@ class TestGen:
                      "--seed", "3"]) == 0
         path = write(tmp_path, "g.kpvc", capsys.readouterr().out)
         assert main(["validate", path]) == 0
+
+
+    def test_runs_as_module(self):
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run(
+            [sys.executable, "-m", "kpcover.cli", "gen", "--n", "2", "--k", "2",
+             "--density", "1"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[0] == "p kpvc 2 1 2"
 
 
 class TestReduceClique:

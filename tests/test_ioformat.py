@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 
 from kpcover import (Budgets, GenSpec, Instance, InstanceInvalidError,
-                     ParseError, build_graph, emit_result, exact_cvck,
-                     gen_kpartite, make_partition, parse_instance,
-                     result_csv_header, serialize_instance, solve_cvck,
-                     two_approx_vc)
+                     ParseError, build_graph, gen_kpartite, make_partition,
+                     parse_instance, serialize_instance, solve)
 
 MINIMAL = """p kpvc 2 1 2
 v 1 1
@@ -98,6 +97,21 @@ class TestParse:
         err = parse_err("v 1 1\np kpvc 1 0 1\nb 1 1\n")
         assert err.kind == "Syntax" and err.line == 1
 
+    @pytest.mark.parametrize("text, kind, message", [
+        ("p kpvc 1000000 0 1\n", "MissingVertexAssignment", "vertex 1"),
+        ("p kpvc 1 0 1000000\nv 1 1\n", "MissingBudget", "part 1"),
+    ])
+    def test_missing_records_cost_memory_of_the_file_not_the_header(
+            self, text, kind, message):
+        tracemalloc.start()
+        try:
+            err = parse_err(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert err.kind == kind and err.line == 1 and message in str(err)
+        assert peak < 1_000_000
+
 
 class TestSerialize:
     def test_canonical_output(self):
@@ -117,41 +131,41 @@ class TestSerialize:
 
 
 class TestEmitResult:
+    """The JSON object `solve` builds for `kpcover solve`."""
+
     def inst(self, limits=(0, 1)):
         return Instance(build_graph(3, [(1, 2), (2, 3)]),
                         make_partition(2, [1, 2, 1]), Budgets(limits))
 
+    def emit(self, algo, limits=(0, 1)):
+        return json.loads(json.dumps(solve(self.inst(limits), algo).fields))
+
     def test_heuristic_success_json(self):
-        inst = self.inst()
-        out = json.loads(emit_result(solve_cvck(inst), "json", algo="cvck",
-                                     instance=inst, wall_ms=1.5))
+        out = self.emit("cvck")
         assert out["status"] == "Success" and out["size"] == 1
         assert out["cover"] == [2] and out["op_count"] == 8
-        assert out["per_part_usage"] == [0, 1] and out["wall_ms"] == 1.5
+        assert out["per_part_usage"] == [0, 1] and out["wall_ms"] >= 0
 
     def test_infeasible_json_has_null_size(self):
-        inst = self.inst((0, 0))
-        out = json.loads(emit_result(exact_cvck(inst), "json", algo="exact",
-                                     instance=inst))
+        out = self.emit("exact", (0, 0))
         assert out["status"] == "Infeasible"
         assert out["cover"] == [] and out["size"] is None
+        assert out["per_part_usage"] is None
         assert "nodes_explored" in out
 
-    def test_plain_cover_csv_row(self):
-        inst = self.inst((1, 1))
-        row = emit_result(two_approx_vc(inst.graph), "csv-row", algo="2approx",
-                          instance=inst)
-        header = result_csv_header()
-        assert header.startswith("algo,status,cover,size")
-        assert row.split(",")[0] == "2approx"
-        assert row.split(",")[5] == ""  # no effort metric for the baseline
+    def test_plain_cover_has_no_effort(self):
+        out = self.emit("2approx", (1, 1))
+        assert out["status"] == "Success" and out["size"] == len(out["cover"])
+        assert "op_count" not in out and "nodes_explored" not in out
+        assert out["budget_violation"] is False
 
-    def test_exact_csv_row_effort(self):
-        inst = self.inst()
-        row = emit_result(exact_cvck(inst), "csv-row", algo="exact", instance=inst)
-        fields = row.split(",")
-        assert fields[1] == "Feasible" and fields[5].isdigit()
+    def test_exact_reports_nodes_explored(self):
+        result = solve(self.inst(), "exact")
+        assert result.ok and result.status == "Feasible"
+        assert result.cover == frozenset({2}) and result.size == 1
+        assert result.fields["nodes_explored"] >= 1
+        assert "op_count" not in result.fields
 
-    def test_unknown_format(self):
+    def test_unknown_algo(self):
         with pytest.raises(ValueError):
-            emit_result(frozenset(), "xml")
+            solve(self.inst(), "xml")
