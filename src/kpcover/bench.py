@@ -14,8 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import IO
 
-from .generate import (GenSpec, SplitMix64, gen_kpartite, gen_tree,
-                       parse_budget_mode)
+from .generate import GenSpec, SplitMix64, gen_kpartite, gen_tree
 from .solvers import ALGOS, solve
 
 DEFAULT_EXACT_CUTOFF = 22
@@ -82,19 +81,13 @@ def run_bench(config: BenchConfig) -> tuple[list[BenchRecord], BenchSummary]:
     summary = BenchSummary(config=config)
     per_instance: list[dict] = []
 
-    # trees derive budgets in slack mode only; honor a slack:S flag, default 1
-    kind, slack, _ = parse_budget_mode(config.budget_mode)
-    tree_slack = slack if kind == "slack" else 1
-
     for n in config.sizes:
         for trial in range(config.trials):
             inst_seed = master.next_u64()
             if config.tree:
-                instance = gen_tree(n, inst_seed, slack=tree_slack)
+                instance = gen_tree(n, inst_seed, config.budget_mode)
                 instance_id = f"tree-n{n}-t{trial}"
                 density = None
-                k = instance.partition.k
-                mode_used = f"slack:{tree_slack}"
             else:
                 instance = gen_kpartite(GenSpec(n=n, k=min(config.k, n),
                                                 density=config.density,
@@ -102,10 +95,9 @@ def run_bench(config: BenchConfig) -> tuple[list[BenchRecord], BenchSummary]:
                                                 budget_mode=config.budget_mode))
                 instance_id = f"kp-n{n}-t{trial}"
                 density = config.density
-                k = instance.partition.k
-                mode_used = config.budget_mode
-            base = dict(instance_id=instance_id, n=n, k=k, density=density,
-                        seed=inst_seed, budget_mode=mode_used)
+            base = dict(instance_id=instance_id, n=n, k=instance.partition.k,
+                        density=density, seed=inst_seed,
+                        budget_mode=config.budget_mode)
 
             results = {algo: solve(instance, algo) for algo in ALGOS
                        if algo != "exact" or n <= config.exact_cutoff}

@@ -2,8 +2,9 @@
 
 Subcommands: validate, solve, reduce-clique, gen, bench.
 
-Exit codes: 0 success, 1 missing file or I/O error, 2 parse or parameter
-error, 3 invalid instance, 4 heuristic failure, 5 infeasible.
+Exit codes: 0 success, 1 missing or unreadable file or other I/O error,
+2 parse or parameter error, 3 invalid instance, 4 heuristic failure,
+5 infeasible.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ParseError as exc:
@@ -106,8 +107,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_instance(path: str) -> Instance:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_instance(f.read())
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(line, "Syntax",
+                         f"invalid UTF-8 byte 0x{data[exc.start]:02x}") from None
+    return parse_instance(text)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -162,7 +170,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     elif args.tree:
         if args.n is None:
             raise SpecInvalidError("--tree requires --n")
-        inst = gen_tree(args.n, args.seed)
+        inst = gen_tree(args.n, args.seed, args.budget_mode)
     else:
         if args.n is None or args.k is None or args.density is None:
             raise SpecInvalidError("gen requires --n, --k and --density")

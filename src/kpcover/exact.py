@@ -1,12 +1,14 @@
 """Ground-truth solvers: exact budgeted cover, exact cover, exact max clique.
 
-The cover solvers share one branch-and-bound core. It branches on an
+The cover solvers share one branch-and-bound core; the unbudgeted cover is
+the budgeted search with a single part of limit n. It branches on an
 uncovered edge (u, v): either u joins the cover, or u is excluded and every
 neighbor of u is forced in. The bound is a greedy maximal matching on the
 still-uncovered edges (disjoint edges each need a distinct cover vertex).
-Budget violations prune eagerly. Among minimum-size budget-respecting covers
-the lexicographically smallest vertex sequence is returned, so results are
-reproducible byte for byte.
+Budget violations prune eagerly. The search keeps its own stack, so its
+depth is not bounded by Python's recursion limit. Among minimum-size
+budget-respecting covers the lexicographically smallest vertex sequence is
+returned, so results are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -40,9 +42,8 @@ def exact_cvck(inst: Instance) -> ExactResult:
     report = validate_instance(inst)
     if not report.ok:
         raise InstanceInvalidError(report)
-    part_of = inst.partition.part_of
-    limits = inst.budgets.limits
-    best, nodes = _min_cover_search(inst.graph, part_of, limits)
+    best, nodes = _min_cover_search(inst.graph, inst.partition.part_of,
+                                    inst.budgets.limits)
     if best is None:
         return ExactResult(status=INFEASIBLE, cover=None, size=None, nodes_explored=nodes)
     return ExactResult(status=FEASIBLE, cover=frozenset(best), size=len(best),
@@ -56,92 +57,81 @@ def cvck_feasible(inst: Instance) -> bool:
 
 def exact_min_vc(g: Graph) -> frozenset[int]:
     """Minimum vertex cover with the same deterministic tie-break, no budgets."""
-    best, _ = _min_cover_search(g, None, None)
+    best, _ = _min_cover_search(g, (0,) + (1,) * g.n, (g.n,))
     assert best is not None  # the full vertex set always covers
     return frozenset(best)
 
 
-def _min_cover_search(g: Graph,
-                      part_of: tuple[int, ...] | None,
-                      limits: tuple[int, ...] | None):
+def _min_cover_search(g: Graph, part_of: tuple[int, ...], limits: tuple[int, ...]):
+    """Depth-first branch and bound over an explicit stack.
+
+    A stack entry is a move from a parent node: the vertices it puts in the
+    cover, the vertex it excludes (or None) and the parent's depth. The
+    trail holds the moves that lead to the current node; popping an entry
+    first undoes the trail down to its parent. The branch that puts u in
+    the cover is pushed last, so it is explored first. Counts never pass
+    their limits, so the budget left for the rest of the cover is
+    sum(limits) - len(cover).
+    """
     edges_sorted = g.sorted_edges()
     adj = g.adjacency
-    budgeted = limits is not None
-    k = len(limits) if budgeted else 0
-
-    best_size = g.n + 1
-    best_cover: tuple[int, ...] | None = None
+    total = sum(limits)
+    # (size, sorted cover): min() prefers the smaller size, then the
+    # lexicographically smaller vertex sequence
+    best: tuple[int, tuple[int, ...] | None] = (g.n + 1, None)
     nodes = 0
-
-    def matching_lb(cover: set[int]) -> int:
-        used: set[int] = set()
-        lb = 0
-        for u, v in edges_sorted:
-            if u in cover or v in cover or u in used or v in used:
-                continue
-            used.add(u)
-            used.add(v)
-            lb += 1
-        return lb
-
-    def consider(cover: set[int]) -> None:
-        nonlocal best_size, best_cover
-        tup = tuple(sorted(cover))
-        if len(tup) < best_size or (len(tup) == best_size and
-                                    (best_cover is None or tup < best_cover)):
-            best_size = len(tup)
-            best_cover = tup
-
-    def recurse(cover: set[int], excluded: set[int], counts: list[int]) -> None:
-        nonlocal nodes
+    cover: set[int] = set()
+    excluded: set[int] = set()
+    counts = [0] * len(limits)
+    trail: list[tuple[list[int], int | None]] = []
+    stack: list[tuple[int, list[int], int | None]] = [(0, [], None)]
+    while stack:
+        depth, joined, out = stack.pop()
+        while len(trail) > depth:
+            undo, back = trail.pop()
+            cover.difference_update(undo)
+            excluded.discard(back)
+            for w in undo:
+                counts[part_of[w] - 1] -= 1
+        cover.update(joined)
+        if out is not None:
+            excluded.add(out)
+        for w in joined:
+            counts[part_of[w] - 1] += 1
+        trail.append((joined, out))
         nodes += 1
-        pick = None
-        for u, v in edges_sorted:
-            if u not in cover and v not in cover:
-                pick = (u, v)
-                break
-        if pick is None:
-            consider(cover)
-            return
-        lb = matching_lb(cover)
-        if len(cover) + lb > best_size:
-            return
-        if budgeted:
-            residual = sum(max(0, limits[i] - counts[i]) for i in range(k))
-            if lb > residual:
-                return
-        u, _ = pick
+        # greedy maximal matching on the uncovered edges; its first edge,
+        # the first uncovered edge in sorted order, is the branching edge
+        blocked = set(cover)
+        lb = 0
+        for a, b in edges_sorted:
+            if a in blocked or b in blocked:
+                continue
+            if not lb:
+                u = a
+            blocked.add(a)
+            blocked.add(b)
+            lb += 1
+        if not lb:
+            best = min(best, (len(cover), tuple(sorted(cover))))
+            continue
+        # prune when the bound passes the best size or the budgets' total
+        if len(cover) + lb > min(best[0], total):
+            continue
         # excluding a vertex forces its neighbors in, so an uncovered edge
         # never has an excluded endpoint
         assert u not in excluded
-        if not budgeted or counts[part_of[u] - 1] < limits[part_of[u] - 1]:
-            if budgeted:
-                counts[part_of[u] - 1] += 1
-            cover.add(u)
-            recurse(cover, excluded, counts)
-            cover.discard(u)
-            if budgeted:
-                counts[part_of[u] - 1] -= 1
         forced = [w for w in adj[u] if w not in cover]
         assert all(w not in excluded for w in forced)
-        if budgeted:
-            for w in forced:
-                counts[part_of[w] - 1] += 1
-            over = any(counts[i] > limits[i] for i in range(k))
-        else:
-            over = False
-        if not over:
-            cover.update(forced)
-            excluded.add(u)
-            recurse(cover, excluded, counts)
-            excluded.discard(u)
-            cover.difference_update(forced)
-        if budgeted:
-            for w in forced:
-                counts[part_of[w] - 1] -= 1
-
-    recurse(set(), set(), [0] * k)
-    return best_cover, nodes
+        after = counts[:]
+        for w in forced:
+            after[part_of[w] - 1] += 1
+        if all(c <= lim for c, lim in zip(after, limits)):
+            stack.append((len(trail), forced, u))
+        p = part_of[u] - 1
+        if counts[p] < limits[p]:
+            stack.append((len(trail), [u], None))
+    return best[1], nodes
 
 
 def exact_max_clique(g: Graph) -> frozenset[int]:

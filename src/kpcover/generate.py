@@ -149,12 +149,12 @@ def gen_kpartite(spec: GenSpec) -> Instance:
                     budgets=derive_budgets(graph, partition, spec.budget_mode))
 
 
-def gen_tree(n: int, seed: int, slack: int = 1) -> Instance:
+def gen_tree(n: int, seed: int, budget_mode: str = "slack:1") -> Instance:
     """Uniform random labeled tree, 2-partitioned by breadth-first level parity.
 
     The tree is decoded from n - 2 uniform labels (every labeled tree
     corresponds to exactly one label sequence, so the distribution is
-    uniform). Budgets use slack mode.
+    uniform). Budgets follow budget_mode, as in gen_kpartite.
     """
     if n < 1:
         raise SpecInvalidError(f"tree needs n >= 1, got {n}")
@@ -175,7 +175,7 @@ def gen_tree(n: int, seed: int, slack: int = 1) -> Instance:
         partition = make_partition(2, [1 if depth[v] % 2 == 0 else 2
                                        for v in range(1, n + 1)])
     return Instance(graph=graph, partition=partition,
-                    budgets=derive_budgets(graph, partition, f"slack:{slack}"))
+                    budgets=derive_budgets(graph, partition, budget_mode))
 
 
 def gen_complete_kpartite(sizes: tuple[int, ...] | list[int]) -> Instance:

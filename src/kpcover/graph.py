@@ -42,9 +42,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return _norm_edge(u, v) in self.edges
-
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
 

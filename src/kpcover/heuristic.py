@@ -65,7 +65,6 @@ class HeuristicState:
 
     def __init__(self, inst: Instance):
         g = inst.graph
-        self.inst = inst
         self.n = g.n
         self.edge_list: list[Edge] = g.sorted_edges()
         self.m = len(self.edge_list)
@@ -85,9 +84,6 @@ class HeuristicState:
                               for p in range(self.k + 1)]
         self.edge_stash: list[int] = []
         self.op_count = 0
-
-    def live_edges(self) -> list[Edge]:
-        return [self.edge_list[ei] for ei in range(self.m) if self.live[ei]]
 
     def tentative_select(self, v: int) -> None:
         """Mark v selected, stash and remove its live edges."""

@@ -88,6 +88,18 @@ class TestSolve:
         out = json.loads(capsys.readouterr().out)
         assert out["cover"] == [2] and out["status"] == "Success"
 
+    def test_directory_exits_1(self, tmp_path, capsys):
+        assert main(["solve", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+    def test_non_utf8_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "latin1.kpvc"
+        target.write_bytes(b"p kpvc 2 1 2\nv 1 1\nc caf\xe9\n")
+        assert main(["solve", str(target)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: line 3: Syntax: invalid UTF-8 byte 0xe9"]
+
     def test_heuristic_failure_exit_code(self, tmp_path):
         path = write(tmp_path, "z.kpvc", ZERO_BUDGET_FILE)
         assert main(["solve", path, "--algo", "cvck"]) == 4
@@ -139,6 +151,12 @@ class TestGen:
         assert main(["gen", "--tree", "--n", "10", "--seed", "7"]) == 0
         out = capsys.readouterr().out
         assert sum(1 for line in out.splitlines() if line.startswith("e ")) == 9
+
+    def test_tree_honours_budget_mode(self, capsys):
+        assert main(["gen", "--tree", "--n", "10", "--seed", "7",
+                     "--budget-mode", "fixed:4,5"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in out if line.startswith("b ")] == ["b 1 4", "b 2 5"]
 
     def test_complete_sizes(self, capsys):
         assert main(["gen", "--complete", "2,3"]) == 0
@@ -210,6 +228,16 @@ class TestBench:
         assert main(["bench", "--tree", "--sizes", "10", "--trials", "4",
                      "--seed", "2", "--out", out_path]) == 0
         assert "tree_claim_rate" in capsys.readouterr().out
+
+    def test_tree_ensemble_records_its_budget_mode(self, tmp_path, capsys):
+        out_path = str(tmp_path / "trees.csv")
+        assert main(["bench", "--tree", "--sizes", "8,10", "--trials", "3",
+                     "--seed", "2", "--budget-mode", "exact",
+                     "--out", out_path]) == 0
+        assert "budget_mode=exact" in capsys.readouterr().out
+        rows = (tmp_path / "trees.csv").read_text().splitlines()[1:]
+        assert len(rows) == 18
+        assert {row.split(",")[5] for row in rows} == {"exact"}
 
     def test_gap_never_negative_and_2approx_bound(self, tmp_path, capsys):
         out_path = str(tmp_path / "gaps.csv")

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 
-from kpcover import (Budgets, Instance, InstanceInvalidError,
+from kpcover import (Budgets, GenSpec, Instance, InstanceInvalidError,
                      InstanceTooLargeError, SplitMix64, build_graph,
                      complement, cvck_feasible, enumerate_min_cvck,
-                     exact_cvck, exact_max_clique, exact_min_vc,
-                     is_vertex_cover, make_partition, respects_budgets)
+                     exact_cvck, exact_max_clique, exact_min_vc, gen_kpartite,
+                     is_vertex_cover, make_partition, respects_budgets,
+                     serialize_instance)
+from kpcover.cli import main
 
 from oracles import brute_max_clique_size, brute_min_cvck, brute_min_vc_size
 from strategies import graphs, instances
@@ -86,6 +90,47 @@ class TestExactCvck:
             if base.feasible:
                 assert raised.feasible
                 assert raised.size <= base.size
+
+
+def forced_long_path(n=2400):
+    """Path 1-2-...-n, even vertices in part 1; budgets (n/2, 0) leave the
+    even vertices as the only cover."""
+    return Instance(build_graph(n, [(v, v + 1) for v in range(1, n)]),
+                    make_partition(2, [1 + v % 2 for v in range(1, n + 1)]),
+                    Budgets((n // 2, 0)))
+
+
+class TestSearchDepth:
+    def test_long_forced_path(self):
+        res = exact_cvck(forced_long_path())
+        assert res.feasible and res.cover == frozenset(range(2, 2401, 2))
+        assert res.nodes_explored == 1201
+
+    def test_long_forced_path_cli(self, tmp_path, capsys):
+        path = tmp_path / "path.kpvc"
+        path.write_text(serialize_instance(forced_long_path()))
+        assert main(["solve", str(path), "--algo", "exact"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["status"] == "Feasible" and out["size"] == 1200
+
+
+# nodes_explored is part of the oracle's contract: a change to the branch
+# order, the bound or the tie-break shows up here first
+@pytest.mark.parametrize("n, k, density, seed, mode, status, size, nodes", [
+    (34, 4, 0.1, 1, "slack:1", "Feasible", 17, 2791),
+    (30, 3, 0.1, 2, "slack:0", "Feasible", 12, 751),
+    (20, 4, 0.5, 3, "slack:1", "Feasible", 14, 83),
+    (18, 3, 0.8, 4, "slack:0", "Feasible", 12, 13),
+    (16, 3, 0.3, 5, "exact", "Feasible", 9, 16),
+    (20, 4, 0.2, 6, "exact", "Feasible", 9, 10),
+    (14, 3, 0.4, 7, "fixed:3,3,3", "Feasible", 8, 27),
+    (16, 2, 0.3, 8, "fixed:4,9", "Feasible", 8, 139),
+    (14, 3, 0.4, 7, "fixed:2,2,2", "Infeasible", None, 4),
+])
+def test_nodes_explored_pinned(n, k, density, seed, mode, status, size, nodes):
+    res = exact_cvck(gen_kpartite(GenSpec(n=n, k=k, density=density, seed=seed,
+                                          budget_mode=mode)))
+    assert (res.status, res.size, res.nodes_explored) == (status, size, nodes)
 
 
 class TestExactMinVc:
