@@ -15,15 +15,11 @@ The ensemble mixes k-partite instances (n 2..20, k 1..4, densities 0.1 to
 from __future__ import annotations
 
 import hashlib
-import inspect
 import time
 from collections import Counter
 
 from kpcover import (GenSpec, SplitMix64, exact_cvck, exact_min_vc,
                      gen_kpartite, gen_tree)
-
-# gen_tree took the slack as an int before it took a budget-mode string
-TREE_TAKES_MODE = "budget_mode" in inspect.signature(gen_tree).parameters
 
 
 def instances(seed: int = 20261018, count: int = 5120):
@@ -33,9 +29,7 @@ def instances(seed: int = 20261018, count: int = 5120):
         inst_seed = rng.next_u64()
         if kind == 7:
             n, slack = 1 + rng.next_below(40), rng.next_below(3)
-            budget = ({"budget_mode": f"slack:{slack}"} if TREE_TAKES_MODE
-                      else {"slack": slack})
-            yield "tree", gen_tree(n, inst_seed, **budget)
+            yield "tree", gen_tree(n, inst_seed, f"slack:{slack}")
             continue
         n = 2 + rng.next_below(19)
         k = 1 + rng.next_below(min(4, n))

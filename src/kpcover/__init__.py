@@ -9,8 +9,7 @@ and a benchmark harness.
 """
 
 from .approx import matching_vertex_cover, two_approx_vc
-from .bench import (BenchConfig, BenchRecord, BenchSummary, loglog_slope,
-                    run_bench, summary_text, write_csv)
+from .bench import BenchConfig, BenchRecord, loglog_slope, run_bench, write_csv
 from .errors import (InstanceInvalidError, InstanceTooLargeError,
                      KOutOfRangeError, KPCoverError, NotACliqueError,
                      NotACoverError, ParseError, SelfLoopError,
@@ -35,7 +34,7 @@ from .solvers import ALGOS, SolveResult, solve
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALGOS", "Budgets", "BenchConfig", "BenchRecord", "BenchSummary",
+    "ALGOS", "Budgets", "BenchConfig", "BenchRecord",
     "CoverResult", "ExactResult", "GenSpec", "Graph", "HeuristicState",
     "Instance", "InstanceInvalidError", "InstanceTooLargeError",
     "KOutOfRangeError", "KPCoverError", "KPartition", "NotACliqueError",
@@ -51,5 +50,5 @@ __all__ = [
     "parse_budget_mode", "parse_instance", "per_part_usage",
     "reduce_clique_to_vc", "respects_budgets", "run_bench",
     "serialize_instance", "solve", "solve_cvck",
-    "summary_text", "two_approx_vc", "validate_instance", "write_csv",
+    "two_approx_vc", "validate_instance", "write_csv",
 ]

@@ -1,8 +1,9 @@
 """Benchmark harness: ensemble runs, per-record CSV, and summary metrics.
 
-One record per (instance, algorithm). Fixed flags reproduce the CSV byte for
-byte except the wall_ms column, which is the only nondeterministic field;
-op_count is the portable effort metric.
+One record per (instance, algorithm); the summary is computed from the
+records alone. Fixed flags reproduce the CSV byte for byte except the wall_ms
+column, which is the only nondeterministic field; op_count is the portable
+effort metric.
 """
 
 from __future__ import annotations
@@ -11,17 +12,13 @@ import csv
 import math
 import statistics
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, fields
 from typing import IO
 
 from .generate import GenSpec, SplitMix64, gen_kpartite, gen_tree
 from .solvers import ALGOS, solve
 
 DEFAULT_EXACT_CUTOFF = 22
-
-BENCH_CSV_COLUMNS = ("instance_id", "n", "k", "density", "seed", "budget_mode",
-                     "algo", "status", "size", "optimum", "gap", "op_count",
-                     "wall_ms")
 
 
 @dataclass(frozen=True)
@@ -38,6 +35,7 @@ class BenchConfig:
 
 @dataclass(frozen=True)
 class BenchRecord:
+    """One CSV row; size is None when the run found no cover."""
     instance_id: str
     n: int
     k: int
@@ -53,33 +51,16 @@ class BenchRecord:
     wall_ms: float
 
 
-@dataclass
-class BenchSummary:
-    config: BenchConfig
-    instances: int = 0
-    oracle_evaluated: int = 0
-    oracle_feasible: int = 0
-    heuristic_successes: int = 0
-    success_rate: float | None = None
-    success_denominator: str = "all"
-    gap_histogram: dict[int, int] = field(default_factory=dict)
-    tree_claim_rate: float | None = None
-    scaling_slope: float | None = None
-    scaling_r2: float | None = None
-    mean_op_counts: dict[int, float] = field(default_factory=dict)
-
-
-def run_bench(config: BenchConfig) -> tuple[list[BenchRecord], BenchSummary]:
+def run_bench(config: BenchConfig) -> tuple[list[BenchRecord], str]:
     """Generate, solve with every applicable algorithm, and summarize.
 
     Instance seeds are drawn from one SplitMix64 stream keyed by the config
     seed, in (size, trial) order, so the ensemble is reproducible. Records
-    are emitted in (size, trial, cvck/exact/2approx) order.
+    are emitted in (size, trial, cvck/exact/2approx) order. Returns the
+    records and the summary text computed from them.
     """
     master = SplitMix64(config.seed)
     records: list[BenchRecord] = []
-    summary = BenchSummary(config=config)
-    per_instance: list[dict] = []
 
     for n in config.sizes:
         for trial in range(config.trials):
@@ -111,52 +92,41 @@ def run_bench(config: BenchConfig) -> tuple[list[BenchRecord], BenchSummary]:
                                            size=size, optimum=optimum, gap=gap,
                                            op_count=res.fields.get("op_count"),
                                            wall_ms=res.fields["wall_ms"]))
-            cvck = results["cvck"]
-            per_instance.append(dict(n=n, oracle=oracle is not None,
-                                     optimum=optimum, success=cvck.ok,
-                                     size=cvck.size if cvck.ok else None,
-                                     op_count=cvck.fields["op_count"]))
 
-    _summarize(summary, per_instance)
-    return records, summary
+    return records, _summary_text(config, records)
 
 
-def _summarize(summary: BenchSummary, per_instance: list[dict]) -> None:
-    config = summary.config
-    summary.instances = len(per_instance)
-    summary.oracle_evaluated = sum(1 for r in per_instance if r["oracle"])
-    summary.oracle_feasible = sum(1 for r in per_instance if r["optimum"] is not None)
-    summary.heuristic_successes = sum(1 for r in per_instance if r["success"])
-
-    if summary.oracle_evaluated == summary.instances and summary.instances > 0:
-        summary.success_denominator = "oracle-feasible"
-        feas = [r for r in per_instance if r["optimum"] is not None]
-        if feas:
-            summary.success_rate = sum(1 for r in feas if r["success"]) / len(feas)
-    elif summary.instances > 0:
-        summary.success_denominator = "all"
-        summary.success_rate = summary.heuristic_successes / summary.instances
-
-    gaps = Counter(r["size"] - r["optimum"] for r in per_instance
-                   if r["success"] and r["optimum"] is not None)
-    summary.gap_histogram = dict(sorted(gaps.items()))
-
-    if config.tree:
-        feas = [r for r in per_instance if r["optimum"] is not None]
-        if feas:
-            hits = sum(1 for r in feas
-                       if r["success"] and r["size"] <= r["optimum"] + 1)
-            summary.tree_claim_rate = hits / len(feas)
-
-    by_n: dict[int, list[int]] = {}
-    for r in per_instance:
-        by_n.setdefault(r["n"], []).append(r["op_count"])
-    summary.mean_op_counts = {n: sum(v) / len(v) for n, v in sorted(by_n.items())}
-    if len(summary.mean_op_counts) >= 2:
-        slope, r2 = loglog_slope(list(summary.mean_op_counts.keys()),
-                                 list(summary.mean_op_counts.values()))
-        summary.scaling_slope = slope
-        summary.scaling_r2 = r2
+def _summary_text(config: BenchConfig, records: list[BenchRecord]) -> str:
+    cvck = [r for r in records if r.algo == "cvck"]  # one per instance
+    evaluated = sum(1 for r in records if r.algo == "exact")
+    feasible = [r for r in cvck if r.optimum is not None]
+    lines = [
+        f"ensemble: sizes={list(config.sizes)} trials={config.trials} "
+        f"density={config.density} budget_mode={config.budget_mode} "
+        f"tree={config.tree} k={config.k} seed={config.seed}",
+        f"instances: {len(cvck)} (oracle evaluated: {evaluated}, "
+        f"oracle feasible: {len(feasible)})",
+    ]
+    # with the oracle on every instance, count successes where a cover exists
+    pool, denominator = ((feasible, "oracle-feasible") if evaluated == len(cvck)
+                         else (cvck, "all"))
+    if pool:
+        rate = sum(1 for r in pool if r.size is not None) / len(pool)
+        lines.append(f"heuristic success_rate: {rate:.4f} "
+                     f"(denominator: {denominator})")
+    gaps = Counter(r.gap for r in cvck if r.gap is not None)
+    lines.append(f"gap histogram (heuristic vs optimum): {dict(sorted(gaps.items()))}")
+    if config.tree and feasible:
+        hits = sum(1 for r in feasible if r.gap is not None and r.gap <= 1)
+        lines.append(f"tree_claim_rate (size <= optimum+1): {hits / len(feasible):.4f}")
+    sizes = sorted({r.n for r in cvck})
+    means = [statistics.fmean(r.op_count for r in cvck if r.n == n) for n in sizes]
+    lines.append(f"mean op_count by n: "
+                 f"{ {n: round(v, 1) for n, v in zip(sizes, means)} }")
+    if len(sizes) >= 2:
+        slope, r2 = loglog_slope(sizes, means)
+        lines.append(f"scaling: slope={slope:.3f} r2={r2:.4f}")
+    return "\n".join(lines) + "\n"
 
 
 def loglog_slope(ns: list[int], values: list[float]) -> tuple[float, float]:
@@ -172,40 +142,7 @@ def loglog_slope(ns: list[int], values: list[float]) -> tuple[float, float]:
 
 
 def write_csv(records: list[BenchRecord], out: IO[str]) -> None:
+    """Header from BenchRecord's fields, one row per record; None is blank."""
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(BENCH_CSV_COLUMNS)
-    for r in records:
-        writer.writerow([
-            r.instance_id, r.n, r.k,
-            "" if r.density is None else repr(r.density),
-            r.seed, r.budget_mode, r.algo, r.status,
-            "" if r.size is None else r.size,
-            "" if r.optimum is None else r.optimum,
-            "" if r.gap is None else r.gap,
-            "" if r.op_count is None else r.op_count,
-            repr(r.wall_ms),
-        ])
-
-
-def summary_text(summary: BenchSummary) -> str:
-    config = summary.config
-    lines = [
-        f"ensemble: sizes={list(config.sizes)} trials={config.trials} "
-        f"density={config.density} budget_mode={config.budget_mode} "
-        f"tree={config.tree} k={config.k} seed={config.seed}",
-        f"instances: {summary.instances} "
-        f"(oracle evaluated: {summary.oracle_evaluated}, "
-        f"oracle feasible: {summary.oracle_feasible})",
-    ]
-    if summary.success_rate is not None:
-        lines.append(f"heuristic success_rate: {summary.success_rate:.4f} "
-                     f"(denominator: {summary.success_denominator})")
-    lines.append(f"gap histogram (heuristic vs optimum): {summary.gap_histogram}")
-    if summary.tree_claim_rate is not None:
-        lines.append(f"tree_claim_rate (size <= optimum+1): {summary.tree_claim_rate:.4f}")
-    means = {n: round(v, 1) for n, v in summary.mean_op_counts.items()}
-    lines.append(f"mean op_count by n: {means}")
-    if summary.scaling_slope is not None:
-        lines.append(f"scaling: slope={summary.scaling_slope:.3f} "
-                     f"r2={summary.scaling_r2:.4f}")
-    return "\n".join(lines) + "\n"
+    writer.writerow(f.name for f in fields(BenchRecord))
+    writer.writerows(astuple(r) for r in records)

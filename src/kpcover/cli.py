@@ -13,8 +13,7 @@ import argparse
 import json
 import sys
 
-from .bench import (DEFAULT_EXACT_CUTOFF, BenchConfig, run_bench,
-                    summary_text, write_csv)
+from .bench import DEFAULT_EXACT_CUTOFF, BenchConfig, run_bench, write_csv
 from .errors import (InstanceInvalidError, KOutOfRangeError, ParseError,
                      SpecInvalidError)
 from .exact import INFEASIBLE
@@ -192,7 +191,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     records, summary = run_bench(config)
     with open(args.out, "w", encoding="utf-8", newline="") as f:
         write_csv(records, f)
-    sys.stdout.write(summary_text(summary))
+    sys.stdout.write(summary)
     return EXIT_OK
 
 

@@ -95,9 +95,6 @@ class KPartition:
     def n(self) -> int:
         return len(self.part_of) - 1
 
-    def members(self, part: int) -> frozenset[int]:
-        return self.parts[part]
-
 
 def make_partition(k: int, part_of: Mapping[int, int] | Sequence[int]) -> KPartition:
     """Build a KPartition from a vertex -> part mapping.
@@ -133,9 +130,6 @@ class Budgets:
     @property
     def k(self) -> int:
         return len(self.limits)
-
-    def limit(self, part: int) -> int:
-        return self.limits[part - 1]
 
     def __post_init__(self) -> None:
         if any(b < 0 for b in self.limits):

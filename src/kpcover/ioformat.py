@@ -16,6 +16,8 @@ canonical serialization (sorted records, no comments) is byte-stable.
 
 from __future__ import annotations
 
+import re
+
 from .errors import InstanceInvalidError, ParseError
 from .graph import (Budgets, Instance, build_graph, make_partition,
                     validate_instance)
@@ -119,8 +121,12 @@ def serialize_instance(inst: Instance) -> str:
     return "\n".join(lines) + "\n"
 
 
+# int() would also take "+1", "0_2" and non-ASCII digits, which the grammar
+# forbids; one match per line costs less than one per token
+_DECIMALS = re.compile(r"-?[0-9]+(?: -?[0-9]+)*")
+
+
 def _ints(lineno: int, tokens: list[str]) -> list[int]:
-    try:
-        return [int(t) for t in tokens]
-    except ValueError:
-        raise ParseError(lineno, "Syntax", f"non-integer field in {tokens}") from None
+    if not _DECIMALS.fullmatch(" ".join(tokens)):
+        raise ParseError(lineno, "Syntax", f"non-integer field in {tokens}")
+    return [int(t) for t in tokens]

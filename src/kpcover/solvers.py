@@ -29,7 +29,6 @@ ALGOS = ("cvck", "exact", "2approx")
 @dataclass(frozen=True)
 class SolveResult:
     """One solver run. ok is False on HeuristicFailure and Infeasible."""
-    algo: str
     status: str
     ok: bool
     cover: frozenset[int]
@@ -63,5 +62,4 @@ def solve(inst: Instance, algo: str) -> SolveResult:
               "size": size, "per_part_usage": usage, **effort, "wall_ms": wall_ms}
     if algo == "2approx":
         fields["budget_violation"] = not respects_budgets(inst, cover)
-    return SolveResult(algo=algo, status=status, ok=ok, cover=cover, size=size,
-                       fields=fields)
+    return SolveResult(status=status, ok=ok, cover=cover, size=size, fields=fields)

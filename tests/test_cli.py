@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -55,6 +56,40 @@ def write(tmp_path, name, text):
 
 def strip_wall_ms(csv_text: str) -> list[str]:
     return [line.rsplit(",", 1)[0] for line in csv_text.splitlines()]
+
+
+# bench flags -> full summary text, sha256 of the CSV less its wall_ms column
+BENCH_PINS = [
+    (["--sizes", "8,12,30", "--trials", "4", "--budget-mode", "exact",
+      "--seed", "3"],
+     "ensemble: sizes=[8, 12, 30] trials=4 density=0.5 budget_mode=exact "
+     "tree=False k=3 seed=3\n"
+     "instances: 12 (oracle evaluated: 8, oracle feasible: 8)\n"
+     "heuristic success_rate: 0.9167 (denominator: all)\n"
+     "gap histogram (heuristic vs optimum): {0: 7}\n"
+     "mean op_count by n: {8: 47.0, 12: 181.2, 30: 998.5}\n"
+     "scaling: slope=2.236 r2=0.9770\n",
+     "094e16df086a93544a6d7b8f3013fb782fcb81e3ab303cdd609d7abca8cee84a"),
+    (["--sizes", "6,9", "--trials", "3", "--tree", "--budget-mode", "slack:2",
+      "--seed", "11"],
+     "ensemble: sizes=[6, 9] trials=3 density=0.5 budget_mode=slack:2 "
+     "tree=True k=3 seed=11\n"
+     "instances: 6 (oracle evaluated: 6, oracle feasible: 6)\n"
+     "heuristic success_rate: 1.0000 (denominator: oracle-feasible)\n"
+     "gap histogram (heuristic vs optimum): {0: 5, 1: 1}\n"
+     "tree_claim_rate (size <= optimum+1): 1.0000\n"
+     "mean op_count by n: {6: 32.0, 9: 55.3}\n"
+     "scaling: slope=1.351 r2=1.0000\n",
+     "9dfa0c1d129fd495795a363f1d0c8b6aafb492063c3cedf911cc06aac95ea7ce"),
+    (["--sizes", "12", "--trials", "3", "--seed", "2", "--exact-cutoff", "0"],
+     "ensemble: sizes=[12] trials=3 density=0.5 budget_mode=slack:1 "
+     "tree=False k=3 seed=2\n"
+     "instances: 3 (oracle evaluated: 0, oracle feasible: 0)\n"
+     "heuristic success_rate: 1.0000 (denominator: all)\n"
+     "gap histogram (heuristic vs optimum): {}\n"
+     "mean op_count by n: {12: 145.7}\n",
+     "6f45a2c627564e8cac0fd80277a14f802e207aa65802298b74fc1714195a845e"),
+]
 
 
 class TestValidate:
@@ -251,3 +286,13 @@ class TestBench:
                 assert int(fields[10]) >= 0
             if fields[6] == "2approx" and fields[9] != "":
                 assert int(fields[8]) <= 2 * int(fields[9])
+
+    @pytest.mark.parametrize("flags, summary, csv_sha256", BENCH_PINS,
+                             ids=["oracle-on-some", "tree-claim", "no-oracle"])
+    def test_summary_and_csv_pinned(self, tmp_path, capsys, flags, summary,
+                                    csv_sha256):
+        out_path = tmp_path / "bench.csv"
+        assert main(["bench", *flags, "--out", str(out_path)]) == 0
+        assert capsys.readouterr().out == summary
+        rows = "".join(line + "\n" for line in strip_wall_ms(out_path.read_text()))
+        assert hashlib.sha256(rows.encode()).hexdigest() == csv_sha256

@@ -81,9 +81,16 @@ class TestParse:
         err = parse_err("p kpvc 1 0 1\nv 1 1\nb 1 1\nq 1\n")
         assert err.kind == "Syntax" and err.line == 4
 
-    def test_non_integer_field(self):
-        err = parse_err("p kpvc 1 0 1\nv one 1\nb 1 1\n")
-        assert err.kind == "Syntax" and err.line == 2
+    @pytest.mark.parametrize("text, line", [
+        ("p kpvc 1 0 1\nv one 1\nb 1 1\n", 2),
+        (MINIMAL.replace("v 2 2", "v \u0662 2"), 3),  # Arabic-Indic digit two
+        (MINIMAL.replace("b 2 1", "b 2 +1"), 5),
+        (MINIMAL.replace("p kpvc 2", "p kpvc 0_2"), 1),
+    ], ids=["word", "arabic-indic-digit", "plus-sign", "underscore"])
+    def test_non_integer_field(self, text, line):
+        err = parse_err(text)
+        assert err.kind == "Syntax" and err.line == line
+        assert "non-integer field" in str(err)
 
     def test_vertex_out_of_range(self):
         err = parse_err("p kpvc 2 1 2\nv 1 1\nv 3 2\nb 1 1\nb 2 1\ne 1 2\n")
