@@ -1,11 +1,17 @@
-"""Digest of the exact cover oracles on 5,120 seeded instances.
+"""Digests of the exact oracles and the heuristic on 5,120 seeded instances.
 
 For each instance it hashes exact_cvck's (status, cover, size,
-nodes_explored) and exact_min_vc's cover on the same graph. Two commits whose
-digests match search in the same order, prune the same nodes and break ties
-the same way. Run it against any checkout's sources:
+nodes_explored) with exact_min_vc's cover on the same graph into one digest,
+and solve_cvck's (status, cover, per_part_usage, op_count, uncovered_edges)
+into a second. Two commits whose exact digests match search in the same
+order, prune the same nodes and break ties the same way; two whose cvck
+digests match pick, veto and count operations the same way. Run it against
+any checkout's sources:
 
     PYTHONPATH=src python scripts/exact_digest.py
+
+It prints both digests and exits 1 when either differs from the pinned value
+below, so a change that means to alter one of them must update it here.
 
 The ensemble mixes k-partite instances (n 2..20, k 1..4, densities 0.1 to
 0.8) under slack:0, slack:1, exact and fixed budgets with random trees
@@ -15,11 +21,17 @@ The ensemble mixes k-partite instances (n 2..20, k 1..4, densities 0.1 to
 from __future__ import annotations
 
 import hashlib
+import sys
 import time
 from collections import Counter
 
 from kpcover import (GenSpec, SplitMix64, exact_cvck, exact_min_vc,
-                     gen_kpartite, gen_tree)
+                     gen_kpartite, gen_tree, solve_cvck)
+
+EXPECTED = {
+    "exact": "28ec5b1c53d842c7eb70f4daa34b36fbe0b90ead11a06ec746408c15e8ded330",
+    "cvck": "e759294e0352c6b83a91f3418a66625f3ca983e55399d4f517a0e26752b93224",
+}
 
 
 def instances(seed: int = 20261018, count: int = 5120):
@@ -42,19 +54,31 @@ def instances(seed: int = 20261018, count: int = 5120):
             n=n, k=k, density=density, seed=inst_seed, budget_mode=mode))
 
 
-def main() -> None:
-    digest = hashlib.sha256()
+def main() -> int:
+    digests = {name: hashlib.sha256() for name in EXPECTED}
     kinds: Counter[str] = Counter()
     t0 = time.perf_counter()
     for kind, inst in instances():
         res = exact_cvck(inst)
         cover = None if res.cover is None else sorted(res.cover)
-        digest.update(repr((res.status, cover, res.size, res.nodes_explored,
-                            sorted(exact_min_vc(inst.graph)))).encode())
+        digests["exact"].update(repr((
+            res.status, cover, res.size, res.nodes_explored,
+            sorted(exact_min_vc(inst.graph)))).encode())
+        heur = solve_cvck(inst)
+        digests["cvck"].update(repr((
+            heur.status, sorted(heur.cover), heur.per_part_usage,
+            heur.op_count, heur.uncovered_edges)).encode())
         kinds[kind] += 1
-    print(digest.hexdigest(), sum(kinds.values()), dict(sorted(kinds.items())),
+    print(sum(kinds.values()), dict(sorted(kinds.items())),
           f"{time.perf_counter() - t0:.1f}s")
+    failed = False
+    for name, digest in digests.items():
+        got = digest.hexdigest()
+        ok = got == EXPECTED[name]
+        failed |= not ok
+        print(f"{name:5s} {got} {'ok' if ok else 'MISMATCH, pinned ' + EXPECTED[name]}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

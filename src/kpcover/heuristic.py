@@ -11,6 +11,14 @@ covered greedily within the residual part budgets; if not, the selection is
 undone, the stashed edges are restored bit for bit, and the vertex is retired
 NOT_SELECTED.
 
+The lookahead batches its picks by part. Every part is an independent set
+(validate_instance rejects intra-part edges), so a pick never changes how
+many unvisited edges another member of its own part touches. make_decision
+therefore counts each part's candidates once per call, one popcount of a
+live-neighbour bitmask per NOT_USED vertex plus one sort per part, instead of
+rescanning the part and walking the pick's edges after every pick. The picks,
+the verdict and op_count are the same either way.
+
 The heuristic can paint itself into a corner; that surfaces as a
 HeuristicFailure result carrying the uncovered edges, never as
 nontermination (each loop iteration retires at least one vertex).
@@ -24,6 +32,7 @@ Operation counter semantics (reset per solve, deterministic):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import InstanceInvalidError
 from .graph import Edge, Instance, validate_instance
@@ -56,25 +65,20 @@ class CoverResult:
 class HeuristicState:
     """Mutable working state for one solve call.
 
-    Keeps a live-edge overlay of the immutable input graph: live[ei] flags
-    edge ei (index into edge_list, sorted order) as still present, and
-    live_degree[v] counts live edges at v. state[v] holds the tri-state
-    label, b[p] the selected count of part p, edge_stash the edges removed
-    by the current tentative selection.
+    Keeps a live-edge overlay of the immutable input graph: bit u of
+    live_mask[v] is set while edge (u, v) is still present, live_degree[v]
+    counts those bits and live_count the live edges. state[v] holds the
+    tri-state label, b[p] the selected count of part p, stash the neighbours
+    whose edges to the current tentative selection it removed.
     """
 
     def __init__(self, inst: Instance):
         g = inst.graph
         self.n = g.n
-        self.edge_list: list[Edge] = g.sorted_edges()
-        self.m = len(self.edge_list)
-        self.inc: list[list[int]] = [[] for _ in range(self.n + 1)]
-        for ei, (u, v) in enumerate(self.edge_list):
-            self.inc[u].append(ei)
-            self.inc[v].append(ei)
-        self.live = bytearray(b"\x01" * self.m)
-        self.live_count = self.m
-        self.live_degree = [len(self.inc[v]) for v in range(self.n + 1)]
+        self.adjacency = g.adjacency
+        self.live_mask = [sum(1 << u for u in nbrs) for nbrs in g.adjacency]
+        self.live_degree = [len(nbrs) for nbrs in g.adjacency]
+        self.live_count = g.m
         self.state = [NOT_USED] * (self.n + 1)
         self.k = inst.partition.k
         self.part_of = inst.partition.part_of
@@ -82,37 +86,38 @@ class HeuristicState:
         self.b = [0] * (self.k + 1)
         self.part_vertices = [sorted(inst.partition.parts[p]) if p else []
                               for p in range(self.k + 1)]
-        self.edge_stash: list[int] = []
+        self.stash: list[int] = []
         self.op_count = 0
 
     def tentative_select(self, v: int) -> None:
         """Mark v selected, stash and remove its live edges."""
         self.state[v] = SELECTED
         self.b[self.part_of[v]] += 1
-        stash = []
-        for ei in self.inc[v]:
-            if self.live[ei]:
-                self.live[ei] = 0
-                stash.append(ei)
-                a, c = self.edge_list[ei]
-                self.live_degree[a] -= 1
-                self.live_degree[c] -= 1
+        bit = 1 << v
+        mask, deg = self.live_mask, self.live_degree
+        stash = [u for u in self.adjacency[v] if mask[u] & bit]
+        for u in stash:
+            mask[u] ^= bit
+            deg[u] -= 1
+        mask[v] = deg[v] = 0
         self.live_count -= len(stash)
         self.op_count += len(stash)
-        self.edge_stash = stash
+        self.stash = stash
 
     def undo_tentative(self, v: int) -> None:
         """Retire v as not-selected and restore the stashed edges exactly."""
         self.state[v] = NOT_SELECTED
         self.b[self.part_of[v]] -= 1
-        for ei in self.edge_stash:
-            self.live[ei] = 1
-            a, c = self.edge_list[ei]
-            self.live_degree[a] += 1
-            self.live_degree[c] += 1
-        self.live_count += len(self.edge_stash)
-        self.op_count += len(self.edge_stash)
-        self.edge_stash = []
+        bit = 1 << v
+        mask, deg = self.live_mask, self.live_degree
+        for u in self.stash:
+            mask[u] |= bit
+            deg[u] += 1
+            mask[v] |= 1 << u
+        deg[v] = len(self.stash)
+        self.live_count += len(self.stash)
+        self.op_count += len(self.stash)
+        self.stash = []
 
 
 def extract_max(state: HeuristicState) -> int | None:
@@ -138,42 +143,40 @@ def make_decision(state: HeuristicState) -> bool:
     residual budget, marking its incident unvisited edges visited. True iff
     no live edge stays unvisited. Purely transactional: the picks and visited
     marks are local to the call.
+
+    A part is an independent set (validate_instance rejects intra-part
+    edges), so a pick never changes the unvisited degree of another member of
+    its own part. Each part's degrees are therefore counted once, as
+    popcount(live_mask[v] & ~picked) over the picks of earlier parts, and the
+    picks are those members in descending count order: the same picks, in the
+    same order, as re-scanning after every pick. Cost per call: one popcount
+    per NOT_USED vertex plus one sort per part with residual budget.
     """
     if state.live_count == 0:
         return True
     remaining = state.live_count
-    vis = bytearray(state.m)
-    ud = state.live_degree.copy()  # unvisited-degree; consulted only for NOT_USED
-    vstate = state.state
-    order = sorted(range(1, state.k + 1),
-                   key=lambda p: (-(state.limits[p - 1] - state.b[p]), p))
+    picked = 0  # bitmask of this call's picks
+    mask, vstate, limits, b = state.live_mask, state.state, state.limits, state.b
+    order = sorted(range(1, state.k + 1), key=lambda p: (-(limits[p - 1] - b[p]), p))
     for p in order:
-        residual = state.limits[p - 1] - state.b[p]
-        members = state.part_vertices[p]
-        picks = 0
-        while picks < residual:
-            best = None
-            best_ud = 0
-            for v in members:
-                if vstate[v] == NOT_USED and ud[v] > best_ud:
-                    best_ud = ud[v]
-                    best = v
-            if best is None:
+        residual = limits[p - 1] - b[p]
+        if residual <= 0:
+            break  # every later part has no residual either
+        unpicked = ~picked
+        # members come in ascending id and the sort is stable, so equal
+        # counts keep the lowest id first
+        ranked = sorted([((mask[v] & unpicked).bit_count(), v)
+                         for v in state.part_vertices[p] if vstate[v] == NOT_USED],
+                        key=itemgetter(0), reverse=True)
+        for count, v in ranked[:residual]:
+            if count == 0:
                 break
             state.op_count += 1
-            picks += 1
-            for ei in state.inc[best]:
-                if state.live[ei] and not vis[ei]:
-                    vis[ei] = 1
-                    remaining -= 1
-                    a, c = state.edge_list[ei]
-                    other = c if a == best else a
-                    if ud[other] > 0:
-                        ud[other] -= 1
-            ud[best] = 0
+            remaining -= count
             if remaining == 0:
                 return True
-    return remaining == 0
+            picked |= 1 << v
+    return False
 
 
 def solve_cvck(inst: Instance) -> CoverResult:
@@ -203,10 +206,12 @@ def solve_cvck(inst: Instance) -> CoverResult:
         raise AssertionError("heuristic loop exceeded n iterations")
 
     cover = frozenset(v for v in range(1, state.n + 1) if state.state[v] == SELECTED)
-    uncovered = tuple(state.edge_list[ei] for ei in range(state.m) if state.live[ei])
+    mask = state.live_mask
     # overlay consistency: live edges are exactly the ones the cover misses
-    assert uncovered == tuple(e for e in state.edge_list
-                              if e[0] not in cover and e[1] not in cover)
+    assert all(mask[u] >> v & 1 == (u not in cover and v not in cover)
+               for u, v in inst.graph.edges)
+    uncovered = tuple(sorted(e for e in inst.graph.edges if mask[e[0]] >> e[1] & 1))
+    assert len(uncovered) == state.live_count
     status = SUCCESS if not uncovered else HEURISTIC_FAILURE
     return CoverResult(status=status, cover=cover,
                        per_part_usage=tuple(state.b[1:]),

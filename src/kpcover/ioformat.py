@@ -1,7 +1,8 @@
 """Text instance format.
 
 Instance grammar, one record per line, fields space-separated, ASCII decimal
-integers, UTF-8 with LF line endings:
+integers, UTF-8 with LF line endings (a CR before the LF is ignored). Comments
+may hold any text; every other line is ASCII:
 
     c <anything>          comment, ignored anywhere
     p kpvc <n> <m> <k>    exactly one, first non-comment line
@@ -30,10 +31,16 @@ def parse_instance(text: str) -> Instance:
     b_records: dict[int, int] = {}
     e_records: list[tuple[int, int, int]] = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # records end at LF only, so a U+2028 or similar in a comment can neither
+    # start a record nor shift the line numbers after it
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         tokens = raw.split()
         if not tokens or tokens[0] == "c":
             continue
+        # a non-ASCII character inside a field fails that field's check
+        # below; between fields, str.split() took it for a separator
+        if not raw.isascii() and "".join(tokens).isascii():
+            raise ParseError(lineno, "Syntax", f"non-ASCII separator in {raw!r}")
         kind = tokens[0]
         if kind == "p":
             if header is not None:

@@ -4,6 +4,11 @@ The frozen op_count values follow the documented counter semantics
 (extract_max scan costs n, one unit per edge removed or restored, one per
 lookahead pick) and were derived by hand-tracing the loop on paper before
 being asserted here.
+
+reference_make_decision is the per-pick form of the lookahead: it re-scans
+the part for the best vertex after every pick and walks the pick's incident
+edges. make_decision counts each part once instead; the tests hold the two to
+the same verdict and the same op_count on every call.
 """
 
 from __future__ import annotations
@@ -11,13 +16,84 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from kpcover import (Budgets, Instance, InstanceInvalidError, build_graph,
-                     enumerate_min_cvck, exact_cvck, extract_max,
-                     is_vertex_cover, make_decision, make_partition,
-                     per_part_usage, respects_budgets, solve_cvck)
-from kpcover.heuristic import NOT_SELECTED, HeuristicState
+from kpcover import (Budgets, GenSpec, Instance, InstanceInvalidError,
+                     SplitMix64, build_graph, enumerate_min_cvck, exact_cvck,
+                     extract_max, gen_kpartite, is_vertex_cover, make_decision,
+                     make_partition, per_part_usage, respects_budgets,
+                     solve_cvck)
+from kpcover import heuristic
+from kpcover.heuristic import NOT_SELECTED, NOT_USED, HeuristicState
 
 from strategies import instances
+
+
+def reference_make_decision(state: HeuristicState) -> bool:
+    """Per-pick greedy lookahead: re-scan the part after every pick."""
+    if state.live_count == 0:
+        return True
+    remaining = state.live_count
+    vis: set[tuple[int, int]] = set()
+    ud = state.live_degree.copy()  # unvisited-degree; consulted only for NOT_USED
+    vstate = state.state
+    order = sorted(range(1, state.k + 1),
+                   key=lambda p: (-(state.limits[p - 1] - state.b[p]), p))
+    for p in order:
+        residual = state.limits[p - 1] - state.b[p]
+        members = state.part_vertices[p]
+        picks = 0
+        while picks < residual:
+            best = None
+            best_ud = 0
+            for v in members:
+                if vstate[v] == NOT_USED and ud[v] > best_ud:
+                    best_ud = ud[v]
+                    best = v
+            if best is None:
+                break
+            state.op_count += 1
+            picks += 1
+            for other in sorted(state.adjacency[best]):
+                edge = (min(best, other), max(best, other))
+                if state.live_mask[best] >> other & 1 and edge not in vis:
+                    vis.add(edge)
+                    remaining -= 1
+                    if ud[other] > 0:
+                        ud[other] -= 1
+            ud[best] = 0
+            if remaining == 0:
+                return True
+    return remaining == 0
+
+
+def decide_both(state: HeuristicState) -> tuple[bool, int]:
+    """make_decision's verdict and op_count delta, checked against the reference."""
+    before = state.op_count
+    expected = reference_make_decision(state)
+    expected_ops = state.op_count - before
+    state.op_count = before
+    verdict = make_decision(state)
+    assert (verdict, state.op_count - before) == (expected, expected_ops)
+    return verdict, expected_ops
+
+
+def lookahead_instances():
+    """Seeded mixed ensemble plus three dense n = 200 instances."""
+    rng = SplitMix64(0x10CA7EAD)
+    for _ in range(300):
+        n = 2 + rng.next_below(39)
+        k = min(n, 1 + rng.next_below(5))
+        density = (0.1, 0.3, 0.5, 0.8)[rng.next_below(4)]
+        mode = ("slack:0", "slack:1", "slack:2", "exact", "fixed")[rng.next_below(5)]
+        if mode == "exact" and n > 16:
+            mode = "slack:0"
+        if mode == "fixed":
+            mode = "fixed:" + ",".join(str(rng.next_below(n // k + 2))
+                                       for _ in range(k))
+        yield gen_kpartite(GenSpec(n=n, k=k, density=density,
+                                   seed=rng.next_u64(), budget_mode=mode))
+    for seed, mode in ((1, "slack:1"), (2, "slack:0"), (3, "fixed:30,30,30,30")):
+        yield gen_kpartite(GenSpec(n=200, k=4, density=0.5, seed=seed,
+                                   budget_mode=mode))
 
 
 def path_instance(limits=(0, 1)):
@@ -72,30 +148,78 @@ class TestMakeDecision:
 
     def test_is_transaction_local(self):
         state = HeuristicState(star_instance((1, 3)))
-        before = (bytes(state.live), list(state.b), list(state.state))
+        state.tentative_select(2)
+
+        def snapshot():
+            return (list(state.live_mask), list(state.live_degree),
+                    state.live_count, list(state.b), list(state.state))
+        before = snapshot()
         make_decision(state)
-        assert (bytes(state.live), list(state.b), list(state.state)) == before
+        assert snapshot() == before
+
+    def test_part_without_residual_is_skipped(self):
+        # the leaves' part picks two of three leaves; the center's part has
+        # budget 0, so the third leaf edge stays unvisited
+        state = HeuristicState(star_instance((0, 2)))
+        assert decide_both(state) == (False, 2)
+
+    def test_equal_counts_go_to_the_lowest_id(self):
+        # 1 and 2 both see two edges; picking 1 leaves (2,3) and (2,5) for
+        # parts 2 and 3, picking 2 would leave (1,3) and (1,4) to part 2 alone
+        inst = Instance(build_graph(5, [(1, 3), (1, 4), (2, 3), (2, 5)]),
+                        make_partition(3, [1, 1, 2, 2, 3]), Budgets((1, 1, 1)))
+        assert decide_both(HeuristicState(inst)) == (True, 3)
+
+    def test_early_exit_counts_the_covering_pick(self):
+        # picks 1, 3 and 5, one per part; the third covers the last edge
+        inst = Instance(build_graph(5, [(1, 4), (3, 5), (4, 5)]),
+                        make_partition(3, [1, 1, 2, 2, 3]), Budgets((2, 1, 1)))
+        assert decide_both(HeuristicState(inst)) == (True, 3)
+
+    def test_later_part_counts_exclude_edges_to_earlier_picks(self):
+        # part 1 picks 1 and 5; then 2 (live degree 3) sees one unvisited
+        # edge and 3 (live degree 2) sees two, so part 2 picks 3
+        inst = Instance(build_graph(6, [(1, 2), (2, 5), (2, 4), (3, 4), (3, 6)]),
+                        make_partition(3, [1, 2, 2, 3, 1, 3]), Budgets((2, 1, 1)))
+        assert decide_both(HeuristicState(inst)) == (True, 4)
+
+    def test_matches_the_reference_in_every_solve_call(self, monkeypatch):
+        calls = []
+
+        def checked(state):
+            calls.append(1)
+            return decide_both(state)[0]
+        for inst in lookahead_instances():
+            expected = solve_cvck(inst)
+            with monkeypatch.context() as m:
+                m.setattr(heuristic, "make_decision", checked)
+                assert solve_cvck(inst) == expected
+        assert len(calls) > 1000
 
 
 class TestStateMechanics:
     def test_undo_restores_overlay_exactly(self):
         state = HeuristicState(path_instance((1, 1)))
-        snapshot = (bytes(state.live), list(state.live_degree),
+        assert state.live_mask == [0, 0b100, 0b1010, 0b100]
+        snapshot = (list(state.live_mask), list(state.live_degree),
                     list(state.b), state.live_count)
         state.tentative_select(2)
         assert state.live_count == 0 and state.b[2] == 1
+        assert state.live_mask == [0] * 4 and state.live_degree == [0] * 4
         state.undo_tentative(2)
-        assert (bytes(state.live), list(state.live_degree),
+        assert (list(state.live_mask), list(state.live_degree),
                 list(state.b), state.live_count) == snapshot
         assert state.state[2] == NOT_SELECTED
 
     def test_stash_only_holds_live_edges(self):
         state = HeuristicState(path_instance((1, 1)))
         state.tentative_select(1)
-        assert [state.edge_list[ei] for ei in state.edge_stash] == [(1, 2)]
+        assert state.stash == [2]
+        state.tentative_select(2)  # (1, 2) is gone already
+        assert state.stash == [3]
         state2 = HeuristicState(path_instance((1, 1)))
         state2.tentative_select(2)
-        assert len(state2.edge_stash) == 2
+        assert sorted(state2.stash) == [1, 3]
 
 
 class TestSolve:

@@ -77,6 +77,24 @@ class TestParse:
         err = parse_err("p kpvc 2 1 1\nv 1 1\nv 2 1\nb 1 2\ne 1 2\n")
         assert err.kind == "IntraPartEdge" and err.line == 5
 
+    def test_unicode_line_separator_in_a_comment_is_comment_text(self):
+        text = "c one\u2028more\n" + MINIMAL.replace("e 1 2", "e 1 1")
+        err = parse_err(text)
+        assert err.line == 7 and "self-loop" in str(err)
+
+    @pytest.mark.parametrize("text, line", [
+        (MINIMAL.replace("e 1 2", "e 1\u20282"), 6),  # line separator
+        (MINIMAL.replace("v 2 2", "v 2\u00a02"), 3),  # no-break space
+    ], ids=["line-separator", "no-break-space"])
+    def test_non_ascii_separator_in_a_record(self, text, line):
+        err = parse_err(text)
+        assert err.kind == "Syntax" and err.line == line
+        assert "non-ASCII separator" in str(err)
+
+    def test_crlf_and_repeated_spaces_still_parse(self):
+        text = MINIMAL.replace("\n", "\r\n").replace("e 1 2", "e  1   2")
+        assert parse_instance(text) == parse_instance(MINIMAL)
+
     def test_unknown_record_kind(self):
         err = parse_err("p kpvc 1 0 1\nv 1 1\nb 1 1\nq 1\n")
         assert err.kind == "Syntax" and err.line == 4
