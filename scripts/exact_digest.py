@@ -1,16 +1,17 @@
-"""Digests of the exact oracles and the heuristic on 5,120 seeded instances.
+"""Digests of generated text and solver output on 5,120 seeded instances.
 
-For each instance it hashes exact_cvck's (status, cover, size,
-nodes_explored) with exact_min_vc's cover on the same graph into one digest,
-and solve_cvck's (status, cover, per_part_usage, op_count, uncovered_edges)
-into a second. Two commits whose exact digests match search in the same
-order, prune the same nodes and break ties the same way; two whose cvck
-digests match pick, veto and count operations the same way. Run it against
-any checkout's sources:
+For each instance it hashes serialize_instance's text into one digest,
+exact_cvck's (status, cover, size, nodes_explored) with exact_min_vc's cover
+on the same graph into a second, and solve_cvck's (status, cover,
+per_part_usage, op_count, uncovered_edges) into a third. Two commits whose
+text digests match generate and serialize the same bytes; two whose exact
+digests match search in the same order, prune the same nodes and break ties
+the same way; two whose cvck digests match pick, veto and count operations
+the same way. Run it against any checkout's sources:
 
     PYTHONPATH=src python scripts/exact_digest.py
 
-It prints both digests and exits 1 when either differs from the pinned value
+It prints the digests and exits 1 when any differs from the pinned value
 below, so a change that means to alter one of them must update it here.
 
 The ensemble mixes k-partite instances (n 2..20, k 1..4, densities 0.1 to
@@ -26,9 +27,10 @@ import time
 from collections import Counter
 
 from kpcover import (GenSpec, SplitMix64, exact_cvck, exact_min_vc,
-                     gen_kpartite, gen_tree, solve_cvck)
+                     gen_kpartite, gen_tree, serialize_instance, solve_cvck)
 
 EXPECTED = {
+    "text": "4d081075e92f334b1195bb0c59dd590de3ab1d552ed4e2fa37f538a8edb987fe",
     "exact": "28ec5b1c53d842c7eb70f4daa34b36fbe0b90ead11a06ec746408c15e8ded330",
     "cvck": "e759294e0352c6b83a91f3418a66625f3ca983e55399d4f517a0e26752b93224",
 }
@@ -59,6 +61,7 @@ def main() -> int:
     kinds: Counter[str] = Counter()
     t0 = time.perf_counter()
     for kind, inst in instances():
+        digests["text"].update(serialize_instance(inst).encode())
         res = exact_cvck(inst)
         cover = None if res.cover is None else sorted(res.cover)
         digests["exact"].update(repr((

@@ -136,15 +136,23 @@ def gen_kpartite(spec: GenSpec) -> Instance:
         assign.extend([p] * size)
     partition = make_partition(spec.k, assign)
 
-    rng = SplitMix64(spec.seed)
-    edges = []
-    for u in range(1, spec.n + 1):
-        for v in range(u + 1, spec.n + 1):
-            if assign[u - 1] == assign[v - 1]:
-                continue
-            if rng.next_float() < spec.density:
-                edges.append((u, v))
-    graph = build_graph(spec.n, edges)
+    # SplitMix64(spec.seed).next_float() < density, inlined: next_float is
+    # (z >> 11) * 2**-53, and scaling both sides by 2**53 is exact, as is
+    # Python's int-to-float comparison. Parts are contiguous, so u's
+    # different-part partners are exactly end..n, where end starts the next part.
+    n, state, edges = spec.n, spec.seed & _MASK64, []
+    threshold = spec.density * 2.0 ** 53
+    end = 1
+    for size in sizes:
+        start, end = end, end + size
+        for u in range(start, end):
+            for v in range(end, n + 1):
+                state = (state + 0x9E3779B97F4A7C15) & _MASK64
+                z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+                if (z ^ (z >> 31)) >> 11 < threshold:
+                    edges.append((u, v))
+    graph = build_graph(n, edges)
     return Instance(graph=graph, partition=partition,
                     budgets=derive_budgets(graph, partition, spec.budget_mode))
 

@@ -1,14 +1,18 @@
 """Undirected graphs, k-partitions, budgets, and the predicates solvers are checked against.
 
 Vertices are dense 1-based integer ids. Edges are unordered pairs stored as
-(u, v) tuples with u < v. All types are immutable after construction, so
-instances can be shared freely between concurrent solver calls; solvers that
-need a mutable edge view keep their own overlay.
+(u, v) tuples with u < v. A Graph stores its edges once, as a tuple sorted
+ascending; sorted_edges() hands out that tuple, every layer that walks the
+edges reads it, and Graph.edges is a set view derived from it on first use.
+All types are immutable after construction, so instances can be shared
+freely between concurrent solver calls; solvers that need a mutable edge
+view keep their own overlay.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import SelfLoopError, VertexOutOfRangeError
@@ -16,25 +20,27 @@ from .errors import SelfLoopError, VertexOutOfRangeError
 Edge = tuple[int, int]
 
 
-def _norm_edge(u: int, v: int) -> Edge:
-    return (u, v) if u < v else (v, u)
-
-
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 1..n.
 
-    adjacency[v] is the neighbor set of v (index 0 is an unused placeholder
-    so vertex ids index directly).
+    edge_order holds every edge once, ascending, and is what equality and
+    hashing compare. adjacency[v] is the neighbor set of v (index 0 is an
+    unused placeholder so vertex ids index directly).
     """
 
     n: int
-    edges: frozenset[Edge]
+    edge_order: tuple[Edge, ...]
     adjacency: tuple[frozenset[int], ...] = field(compare=False)
+
+    @cached_property
+    def edges(self) -> frozenset[Edge]:
+        """The edge set, built from edge_order on first use."""
+        return frozenset(self.edge_order)
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.edge_order)
 
     def vertices(self) -> range:
         return range(1, self.n + 1)
@@ -42,31 +48,40 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
+    def sorted_edges(self) -> tuple[Edge, ...]:
+        return self.edge_order
 
 
 def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
     """Construct a Graph from a vertex count and an edge pair sequence.
 
     Duplicate pairs (in either orientation) are deduplicated silently.
-    Self-loops and endpoints outside 1..n are hard errors.
+    Self-loops and endpoints outside 1..n are hard errors. Input that is
+    already sorted, as the generators and canonical files give it, sorts in
+    linear time, and (u, v) tuples with u < v are stored as they are.
     """
     if n < 1:
         raise VertexOutOfRangeError(f"vertex count must be >= 1, got {n}")
-    edges: set[Edge] = set()
-    for u, v in edge_list:
+    pairs: list[Edge] = []
+    append = pairs.append
+    for e in edge_list:
+        u, v = e
         if u == v:
             raise SelfLoopError(f"self-loop at vertex {u}")
         if not (1 <= u <= n) or not (1 <= v <= n):
             raise VertexOutOfRangeError(f"edge ({u}, {v}) outside 1..{n}")
-        edges.add(_norm_edge(u, v))
-    adj: list[set[int]] = [set() for _ in range(n + 1)]
+        if u > v:
+            e = (v, u)
+        elif type(e) is not tuple:
+            e = (u, v)
+        append(e)
+    pairs.sort()  # duplicates are now adjacent
+    edges = tuple(pairs[:1] + [e for prev, e in zip(pairs, pairs[1:]) if e != prev])
+    adj: list[list[int]] = [[] for _ in range(n + 1)]
     for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return Graph(n=n, edges=frozenset(edges),
-                 adjacency=tuple(frozenset(s) for s in adj))
+        adj[u].append(v)
+        adj[v].append(u)
+    return Graph(n=n, edge_order=edges, adjacency=tuple(map(frozenset, adj)))
 
 
 def complement(g: Graph) -> Graph:
@@ -166,9 +181,13 @@ def validate_instance(inst: Instance) -> ValidationReport:
     if budgets.k != part.k:
         violations.append(f"budgets have {budgets.k} entries, partition has {part.k} parts")
     if part.n == g.n:
-        for u, v in g.sorted_edges():
-            if part.part_of[u] == part.part_of[v]:
-                violations.append(f"intra-part edge ({u}, {v}) in part {part.part_of[u]}")
+        adj, parts, part_of = g.adjacency, part.parts, part.part_of
+        # a part's vertices are its set, so one disjointness test per vertex
+        # finds any intra-part edge; the edge walk below only names them
+        if not all(adj[v].isdisjoint(parts[part_of[v]]) for v in g.vertices()):
+            for u, v in g.sorted_edges():
+                if part_of[u] == part_of[v]:
+                    violations.append(f"intra-part edge ({u}, {v}) in part {part_of[u]}")
         for p in range(1, part.k + 1):
             if not part.parts[p]:
                 warnings.append(f"part {p} is empty")
@@ -180,7 +199,7 @@ def validate_instance(inst: Instance) -> ValidationReport:
 def is_vertex_cover(g: Graph, s: Iterable[int]) -> bool:
     """True iff every edge of g has at least one endpoint in s."""
     sset = _checked_subset(g, s)
-    return all(u in sset or v in sset for u, v in g.edges)
+    return all(u in sset or v in sset for u, v in g.edge_order)
 
 
 def is_clique(g: Graph, s: Iterable[int]) -> bool:

@@ -206,11 +206,11 @@ def solve_cvck(inst: Instance) -> CoverResult:
         raise AssertionError("heuristic loop exceeded n iterations")
 
     cover = frozenset(v for v in range(1, state.n + 1) if state.state[v] == SELECTED)
-    mask = state.live_mask
+    mask, edges = state.live_mask, inst.graph.sorted_edges()
     # overlay consistency: live edges are exactly the ones the cover misses
     assert all(mask[u] >> v & 1 == (u not in cover and v not in cover)
-               for u, v in inst.graph.edges)
-    uncovered = tuple(sorted(e for e in inst.graph.edges if mask[e[0]] >> e[1] & 1))
+               for u, v in edges)
+    uncovered = tuple(e for e in edges if mask[e[0]] >> e[1] & 1)
     assert len(uncovered) == state.live_count
     status = SUCCESS if not uncovered else HEURISTIC_FAILURE
     return CoverResult(status=status, cover=cover,

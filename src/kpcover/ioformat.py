@@ -13,6 +13,14 @@ may hold any text; every other line is ASCII:
 v/b/e records may interleave after the p line. Budgets are mandatory, so a
 file is always a complete instance. parse(serialize(inst)) == inst, and the
 canonical serialization (sorted records, no comments) is byte-stable.
+
+parse_instance first tries a fast path for text in the canonical shape: one
+regex search over the whole text finds any line that is not a record, the v
+and b records are split as a block and the e records are streamed. Any
+departure from that shape, or any value the grammar rejects, sends the text
+through the general line loop instead, so every accepted instance and every
+ParseError (kind, line and message) is the same as the line loop alone
+gives.
 """
 
 from __future__ import annotations
@@ -26,6 +34,60 @@ from .graph import (Budgets, Instance, build_graph, make_partition,
 
 def parse_instance(text: str) -> Instance:
     """Parse the grammar above; every rejection names a 1-based line number."""
+    inst = _parse_canonical(text)
+    return inst if inst is not None else _parse_lines(text)
+
+
+# serialize_instance's shape: the p line, then the v, b and e records in
+# that order, single spaces, every line ending in LF. Fields longer than 18
+# digits take the line loop, which reports them as it always has.
+_FIELD = "[0-9]{1,18}"
+_HEADER = re.compile(rf"p kpvc ({_FIELD}) ({_FIELD}) ({_FIELD})\n")
+# a line break followed by neither a record nor the end of the text; unlike
+# a fullmatch of a repeated record group, this search keeps no state per line
+_STRAY = re.compile(rf"\n(?![vbe] {_FIELD} {_FIELD}\n|\Z)")
+_EDGE = re.compile(rf"e ({_FIELD}) ({_FIELD})\n")
+
+
+def _parse_canonical(text: str) -> Instance | None:
+    """The instance, if text has the canonical shape and is valid; else None."""
+    head = _HEADER.match(text)
+    if head is None or _STRAY.search(text, head.end() - 1) is not None:
+        return None
+    # every line after the p line is a v, b or e record
+    n, m, k = map(int, head.groups())
+    # the first e record, or the end of the text
+    e_at = text.find("\ne ", head.end() - 1) + 1 or len(text)
+    fields = text[head.end():e_at].split()
+    # the length test comes first: it bounds n and k by the file
+    if (n < 1 or k < 1 or len(fields) != 3 * (n + k)
+            or fields[0::3] != ["v"] * n + ["b"] * k):
+        return None
+    v_fields, b_fields = fields[:3 * n], fields[3 * n:]
+    # records in id order, so no id is missing, repeated or out of range
+    if (list(map(int, v_fields[1::3])) != list(range(1, n + 1))
+            or list(map(int, b_fields[1::3])) != list(range(1, k + 1))):
+        return None
+    part_of = [0, *map(int, v_fields[2::3])]
+    if not all(1 <= p <= k for p in part_of[1:]):
+        return None
+    edges = []
+    for e in _EDGE.finditer(text, e_at):
+        u, v = int(e[1]), int(e[2])
+        # a self-loop is an intra-part edge too
+        if not (0 < u <= n and 0 < v <= n) or part_of[u] == part_of[v]:
+            return None
+        edges.append((u, v))
+    # as many e matches as lines from e_at on: no v or b record among them
+    if not len(edges) == m == text.count("\n", e_at):
+        return None
+    return Instance(graph=build_graph(n, edges),
+                    partition=make_partition(k, part_of[1:]),
+                    budgets=Budgets(tuple(map(int, b_fields[2::3]))))
+
+
+def _parse_lines(text: str) -> Instance:
+    """The general parser: one record per line, any grammatical layout."""
     header: tuple[int, int, int, int] | None = None  # (lineno, n, m, k)
     v_records: dict[int, int] = {}
     b_records: dict[int, int] = {}

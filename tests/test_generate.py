@@ -85,6 +85,20 @@ class TestGenKPartite:
                         else:
                             assert color[w] != color[u]
 
+    @pytest.mark.parametrize("density", [0.0, 5e-324, 0.1, 0.5, 1 - 2 ** -53, 1.0])
+    def test_draws_match_the_reference_stream(self, density):
+        # the documented draw order, spelled out with the SplitMix64 class
+        for n, k in ((1, 1), (7, 1), (6, 6), (11, 3), (14, 4), (9, 2)):
+            for seed in (0, 1, 42, 2 ** 64 - 1, -7):
+                inst = gen_kpartite(GenSpec(n=n, k=k, density=density, seed=seed))
+                part_of = inst.partition.part_of
+                rng = SplitMix64(seed)
+                expected = [(u, v)
+                            for u in range(1, n + 1)
+                            for v in range(u + 1, n + 1)
+                            if part_of[u] != part_of[v] and rng.next_float() < density]
+                assert list(inst.graph.sorted_edges()) == expected, (n, k, seed)
+
     def test_spec_validation(self):
         with pytest.raises(SpecInvalidError):
             gen_kpartite(GenSpec(n=3, k=4, density=0.5, seed=1))

@@ -40,6 +40,18 @@ class TestBuildGraph:
     def test_duplicates_collapse(self):
         g = build_graph(3, [(1, 2), (2, 1), (2, 3)])
         assert g.m == 2
+        # shuffled, reversed and duplicated pairs give one stored edge order
+        ordered = ((1, 2), (1, 3), (2, 4), (3, 4))
+        ref = build_graph(4, ordered)
+        for pairs in ([(3, 4), (1, 2), (2, 4), (1, 3)],
+                      [(4, 3), (4, 2), (3, 1), (2, 1)],
+                      [(1, 2), (2, 1), (1, 3), (3, 1), (2, 4), (3, 4), (4, 3)],
+                      [[2, 1], [1, 3], [2, 4], [3, 4]]):
+            g = build_graph(4, pairs)
+            assert g.sorted_edges() == ref.sorted_edges() == ordered
+            assert all(type(e) is tuple for e in g.sorted_edges())
+            assert g == ref and hash(g) == hash(ref)
+            assert g.edges == frozenset(ordered)
 
     def test_self_loop_rejected(self):
         with pytest.raises(SelfLoopError):

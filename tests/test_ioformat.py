@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import json
+import random
 import tracemalloc
 
 import pytest
 
 from kpcover import (Budgets, GenSpec, Instance, InstanceInvalidError,
                      ParseError, build_graph, gen_kpartite, make_partition,
-                     parse_instance, serialize_instance, solve)
+                     parse_instance, serialize_instance, solve,
+                     validate_instance)
+from kpcover.ioformat import _parse_canonical, _parse_lines
 
 MINIMAL = """p kpvc 2 1 2
 v 1 1
@@ -136,6 +139,97 @@ class TestParse:
             tracemalloc.stop()
         assert err.kind == kind and err.line == 1 and message in str(err)
         assert peak < 1_000_000
+
+
+def _outcome(parse, text):
+    """An instance, or (kind, line, message) for a rejection."""
+    try:
+        return parse(text)
+    except ParseError as err:
+        return err.kind, err.line, str(err)
+
+
+def _mutate(text, rng):
+    """text with one random edit of the kinds a hand-edited file shows."""
+    final_lf = text.endswith("\n")
+    lines = text.split("\n")
+    if final_lf:
+        lines.pop()
+    if not lines:
+        return text
+    how = rng.choice(("delete", "duplicate", "swap", "digit", "reverse", "zero",
+                      "space", "cr", "comment", "no-final-lf"))
+    i = rng.randrange(len(lines))
+    fields = lines[i].split(" ")
+    if how == "delete":
+        del lines[i]
+    elif how == "duplicate":
+        lines.insert(rng.randrange(len(lines) + 1), lines[i])
+    elif how == "swap":
+        j = rng.randrange(len(lines))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif how == "digit":
+        digits = [j for j, ch in enumerate(text) if ch.isdigit()]
+        j = rng.choice(digits)
+        return text[:j] + str(rng.randrange(10)) + text[j + 1:]
+    elif how == "reverse" and fields[0] == "e" and len(fields) == 3:
+        lines[i] = " ".join((fields[0], fields[2], fields[1]))
+    elif how == "zero" and len(fields) > 1:
+        j = rng.randrange(1, len(fields))
+        fields[j] = "0" + fields[j]
+        lines[i] = " ".join(fields)
+    elif how == "space":
+        lines[i] += " "
+    elif how == "cr":
+        lines[i] += "\r"
+    elif how == "comment":
+        lines.insert(i, "c note")
+    elif how == "no-final-lf":
+        final_lf = False
+    return "\n".join(lines) + ("\n" if final_lf else "")
+
+
+class TestCanonicalFastPath:
+    """parse_instance against the line loop alone, on canonical and edited text."""
+
+    def test_same_instance_or_same_error_as_the_line_loop(self):
+        rng = random.Random(20261018)
+        fast_edited = rejected = 0
+        for _ in range(3000):
+            n = rng.randint(1, 12)
+            k = rng.randint(1, min(4, n))
+            mode = rng.choice(["slack:1", "fixed:" + ",".join(
+                str(rng.randrange(4)) for _ in range(k))])
+            text = serialize_instance(gen_kpartite(GenSpec(
+                n=n, k=k, density=rng.random(), seed=rng.getrandbits(64),
+                budget_mode=mode)))
+            edits = rng.choice((0, 1, 1, 2, 3))
+            for _ in range(edits):
+                text = _mutate(text, rng)
+            expected = _outcome(_parse_lines, text)
+            assert _outcome(parse_instance, text) == expected, text
+            fast_edited += edits > 0 and _parse_canonical(text) is not None
+            rejected += isinstance(expected, tuple)
+        # edited text took the fast path too, and errors were compared
+        assert fast_edited > 200 and rejected > 500
+
+    def test_star_parses_and_validates_without_per_vertex_masks(self):
+        # one neighbour bitmask per vertex would take ~50 MB for the leaves
+        # alone; the edge tuple and neighbour sets take O(n + m)
+        n = 20_000
+        text = "".join([f"p kpvc {n} {n - 1} 2\n",
+                        *(f"v {v} 1\n" for v in range(1, n)), f"v {n} 2\n",
+                        "b 1 0\nb 2 1\n",
+                        *(f"e {v} {n}\n" for v in range(1, n))])
+        tracemalloc.start()
+        try:
+            inst = parse_instance(text)
+            report = validate_instance(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.ok and inst.graph.m == n - 1
+        assert peak < 40_000_000
 
 
 class TestSerialize:
