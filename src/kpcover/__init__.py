@@ -29,7 +29,7 @@ from .heuristic import (CoverResult, HeuristicState, extract_max,
 from .ioformat import parse_instance, serialize_instance
 from .reduction import (ReductionOutput, clique_cert_to_cover,
                         cover_cert_to_clique, reduce_clique_to_vc)
-from .solvers import ALGOS, SolveResult, solve
+from .solvers import ALGOS, solve
 
 __version__ = "0.1.0"
 
@@ -39,7 +39,7 @@ __all__ = [
     "Instance", "InstanceInvalidError", "InstanceTooLargeError",
     "KOutOfRangeError", "KPCoverError", "KPartition", "NotACliqueError",
     "NotACoverError", "ParseError", "ReductionOutput", "SelfLoopError",
-    "SolveResult", "SpecInvalidError", "SplitMix64", "ValidationReport",
+    "SpecInvalidError", "SplitMix64", "ValidationReport",
     "VertexOutOfRangeError",
     "build_graph", "canonicalize_partition", "clique_cert_to_cover",
     "complement", "cover_cert_to_clique", "cvck_feasible", "derive_budgets",

@@ -16,6 +16,7 @@ from dataclasses import astuple, dataclass, fields
 from typing import IO
 
 from .generate import GenSpec, SplitMix64, gen_kpartite, gen_tree
+from .heuristic import HEURISTIC_FAILURE
 from .solvers import ALGOS, solve
 
 DEFAULT_EXACT_CUTOFF = 22
@@ -83,15 +84,16 @@ def run_bench(config: BenchConfig) -> tuple[list[BenchRecord], str]:
             results = {algo: solve(instance, algo) for algo in ALGOS
                        if algo != "exact" or n <= config.exact_cutoff}
             oracle = results.get("exact")
-            optimum = oracle.size if oracle is not None else None
+            optimum = oracle["size"] if oracle is not None else None
             for algo, res in results.items():
-                size = res.size if res.ok else None
+                # a heuristic failure's partial cover is not a cover
+                size = None if res["status"] == HEURISTIC_FAILURE else res["size"]
                 gap = (size - optimum
                        if size is not None and optimum is not None else None)
-                records.append(BenchRecord(**base, algo=algo, status=res.status,
+                records.append(BenchRecord(**base, algo=algo, status=res["status"],
                                            size=size, optimum=optimum, gap=gap,
-                                           op_count=res.fields.get("op_count"),
-                                           wall_ms=res.fields["wall_ms"]))
+                                           op_count=res.get("op_count"),
+                                           wall_ms=res["wall_ms"]))
 
     return records, _summary_text(config, records)
 

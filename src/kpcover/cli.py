@@ -131,8 +131,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    result = solve(_load_instance(args.path), args.algo)
-    fields = result.fields
+    fields = solve(_load_instance(args.path), args.algo)
     if args.output == "json":
         print(json.dumps(fields))
     else:
@@ -142,7 +141,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             elif key == "wall_ms":
                 value = f"{value:.3f}"
             print(f"{key}: {value}")
-    return EXIT_BY_STATUS.get(result.status, EXIT_OK)
+    return EXIT_BY_STATUS.get(fields["status"], EXIT_OK)
 
 
 def cmd_reduce_clique(args: argparse.Namespace) -> int:

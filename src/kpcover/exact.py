@@ -5,7 +5,7 @@ the budgeted search with a single part of limit n. It branches on an
 uncovered edge (u, v): either u joins the cover, or u is excluded and every
 neighbor of u is forced in. The bound is a greedy maximal matching on the
 still-uncovered edges (disjoint edges each need a distinct cover vertex).
-Budget violations prune eagerly. The search keeps its own stack, so its
+Budget violations prune eagerly. Every search keeps its own stack, so its
 depth is not bounded by Python's recursion limit. Among minimum-size
 budget-respecting covers the lexicographically smallest vertex sequence is
 returned, so results are reproducible byte for byte.
@@ -139,23 +139,26 @@ def exact_max_clique(g: Graph) -> frozenset[int]:
 
     Depth-first extension over ascending vertex ids visits equal-size cliques
     in lexicographic order, so keeping only strictly larger finds is enough
-    for the tie-break.
+    for the tie-break. The search keeps its own stack, one frame per level:
+    that level's candidates and the index of the next one to try.
     """
     adj = g.adjacency
     best: tuple[int, ...] = ()
-
-    def extend(current: list[int], cands: list[int]) -> None:
-        nonlocal best
+    current: list[int] = []
+    stack: list[tuple[list[int], int]] = [(list(range(1, g.n + 1)), 0)]
+    while stack:
+        cands, i = stack.pop()
+        # no candidate left, or too few to pass the best clique
+        if len(current) + len(cands) - i <= len(best):
+            if current:  # the vertex that opened this frame
+                current.pop()
+            continue
+        v = cands[i]
+        stack.append((cands, i + 1))
+        current.append(v)
         if len(current) > len(best):
             best = tuple(current)
-        for i, v in enumerate(cands):
-            if len(current) + len(cands) - i <= len(best):
-                break
-            current.append(v)
-            extend(current, [w for w in cands[i + 1:] if w in adj[v]])
-            current.pop()
-
-    extend([], list(range(1, g.n + 1)))
+        stack.append(([w for w in cands[i + 1:] if w in adj[v]], 0))
     return frozenset(best)
 
 

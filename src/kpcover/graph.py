@@ -212,16 +212,19 @@ def is_clique(g: Graph, s: Iterable[int]) -> bool:
 
 def respects_budgets(inst: Instance, s: Iterable[int]) -> bool:
     """True iff s takes at most the budgeted number of vertices from each part."""
-    sset = set(s)
-    usage = per_part_usage(inst.partition, sset)
+    usage = per_part_usage(inst.partition, set(s))
     return all(usage[i] <= inst.budgets.limits[i] for i in range(inst.partition.k))
 
 
 def per_part_usage(partition: KPartition, s: Iterable[int]) -> tuple[int, ...]:
     """Count of selected vertices per part, ordered part 1..k."""
     counts = [0] * (partition.k + 1)
+    part_of, n = partition.part_of, partition.n
     for v in s:
-        counts[partition.part_of[v]] += 1
+        # part_of[0] and negative ids would index without an error
+        if not (1 <= v <= n):
+            raise VertexOutOfRangeError(f"vertex {v} outside 1..{n}")
+        counts[part_of[v]] += 1
     return tuple(counts[1:])
 
 

@@ -14,13 +14,12 @@ v/b/e records may interleave after the p line. Budgets are mandatory, so a
 file is always a complete instance. parse(serialize(inst)) == inst, and the
 canonical serialization (sorted records, no comments) is byte-stable.
 
-parse_instance first tries a fast path for text in the canonical shape: one
-regex search over the whole text finds any line that is not a record, the v
-and b records are split as a block and the e records are streamed. Any
-departure from that shape, or any value the grammar rejects, sends the text
-through the general line loop instead, so every accepted instance and every
-ParseError (kind, line and message) is the same as the line loop alone
-gives.
+parse_instance reads one line at a time. At the first e record it tries to
+take all the remaining lines in one step, as canonical text ends: when each
+is `e <u> <v>` and LF, with u != v and both ends in 1..n, one regex pass
+reads the pairs. The per-line e branch would accept exactly those lines with
+the same values, so any other tail simply goes on line by line, and every
+ParseError comes from the per-line code.
 """
 
 from __future__ import annotations
@@ -34,68 +33,22 @@ from .graph import (Budgets, Instance, build_graph, make_partition,
 
 def parse_instance(text: str) -> Instance:
     """Parse the grammar above; every rejection names a 1-based line number."""
-    inst = _parse_canonical(text)
-    return inst if inst is not None else _parse_lines(text)
-
-
-# serialize_instance's shape: the p line, then the v, b and e records in
-# that order, single spaces, every line ending in LF. Fields longer than 18
-# digits take the line loop, which reports them as it always has.
-_FIELD = "[0-9]{1,18}"
-_HEADER = re.compile(rf"p kpvc ({_FIELD}) ({_FIELD}) ({_FIELD})\n")
-# a line break followed by neither a record nor the end of the text; unlike
-# a fullmatch of a repeated record group, this search keeps no state per line
-_STRAY = re.compile(rf"\n(?![vbe] {_FIELD} {_FIELD}\n|\Z)")
-_EDGE = re.compile(rf"e ({_FIELD}) ({_FIELD})\n")
-
-
-def _parse_canonical(text: str) -> Instance | None:
-    """The instance, if text has the canonical shape and is valid; else None."""
-    head = _HEADER.match(text)
-    if head is None or _STRAY.search(text, head.end() - 1) is not None:
-        return None
-    # every line after the p line is a v, b or e record
-    n, m, k = map(int, head.groups())
-    # the first e record, or the end of the text
-    e_at = text.find("\ne ", head.end() - 1) + 1 or len(text)
-    fields = text[head.end():e_at].split()
-    # the length test comes first: it bounds n and k by the file
-    if (n < 1 or k < 1 or len(fields) != 3 * (n + k)
-            or fields[0::3] != ["v"] * n + ["b"] * k):
-        return None
-    v_fields, b_fields = fields[:3 * n], fields[3 * n:]
-    # records in id order, so no id is missing, repeated or out of range
-    if (list(map(int, v_fields[1::3])) != list(range(1, n + 1))
-            or list(map(int, b_fields[1::3])) != list(range(1, k + 1))):
-        return None
-    part_of = [0, *map(int, v_fields[2::3])]
-    if not all(1 <= p <= k for p in part_of[1:]):
-        return None
-    edges = []
-    for e in _EDGE.finditer(text, e_at):
-        u, v = int(e[1]), int(e[2])
-        # a self-loop is an intra-part edge too
-        if not (0 < u <= n and 0 < v <= n) or part_of[u] == part_of[v]:
-            return None
-        edges.append((u, v))
-    # as many e matches as lines from e_at on: no v or b record among them
-    if not len(edges) == m == text.count("\n", e_at):
-        return None
-    return Instance(graph=build_graph(n, edges),
-                    partition=make_partition(k, part_of[1:]),
-                    budgets=Budgets(tuple(map(int, b_fields[2::3]))))
-
-
-def _parse_lines(text: str) -> Instance:
-    """The general parser: one record per line, any grammatical layout."""
     header: tuple[int, int, int, int] | None = None  # (lineno, n, m, k)
     v_records: dict[int, int] = {}
     b_records: dict[int, int] = {}
-    e_records: list[tuple[int, int, int]] = []
+    e_pairs: list[tuple[int, int]] = []
+    e_lines: list[int] | range = []
 
     # records end at LF only, so a U+2028 or similar in a comment can neither
     # start a record nor shift the line numbers after it
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    lineno, pos = 0, 0
+    while pos <= len(text):
+        end = text.find("\n", pos)
+        if end < 0:
+            end = len(text)
+        start, pos = pos, end + 1
+        lineno += 1
+        raw = text[start:end]
         tokens = raw.split()
         if not tokens or tokens[0] == "c":
             continue
@@ -140,6 +93,11 @@ def _parse_lines(text: str) -> Instance:
                 raise ParseError(lineno, "DuplicateRecord", f"budget for part {part} given twice")
             b_records[part] = budget
         elif kind == "e":
+            if not e_pairs:  # the first e record
+                run = _edge_run(text, start, n)
+                if run is not None:
+                    e_pairs, e_lines = run, range(lineno, lineno + len(run))
+                    break
             if len(tokens) != 3:
                 raise ParseError(lineno, "Syntax", "expected 'e <u> <v>'")
             u, v = _ints(lineno, tokens[1:])
@@ -147,16 +105,17 @@ def _parse_lines(text: str) -> Instance:
                 raise ParseError(lineno, "Syntax", f"self-loop at vertex {u}")
             if not (1 <= u <= n) or not (1 <= v <= n):
                 raise ParseError(lineno, "Syntax", f"edge ({u}, {v}) outside 1..{n}")
-            e_records.append((lineno, u, v))
+            e_pairs.append((u, v))
+            e_lines.append(lineno)
         else:
             raise ParseError(lineno, "Syntax", f"unknown record kind {kind!r}")
 
     if header is None:
         raise ParseError(1, "Syntax", "missing p line")
     p_lineno, n, m, k = header
-    if len(e_records) != m:
+    if len(e_pairs) != m:
         raise ParseError(p_lineno, "CountMismatch",
-                         f"p line declares {m} edges, file has {len(e_records)}")
+                         f"p line declares {m} edges, file has {len(e_pairs)}")
     # compare counts before scanning ids: n and k come from the header, and
     # the file need not hold anywhere near that many records
     if len(v_records) != n:
@@ -167,14 +126,40 @@ def _parse_lines(text: str) -> Instance:
         missing = next(p for p in range(1, k + 1) if p not in b_records)
         raise ParseError(p_lineno, "MissingBudget",
                          f"no b record for part {missing}")
-    for lineno, u, v in e_records:
-        if v_records[u] == v_records[v]:
-            raise ParseError(lineno, "IntraPartEdge",
-                             f"edge ({u}, {v}) inside part {v_records[u]}")
+    part_of = [0] * (n + 1)
+    for v, p in v_records.items():
+        part_of[v] = p
+    for i, (u, v) in enumerate(e_pairs):
+        if part_of[u] == part_of[v]:
+            raise ParseError(e_lines[i], "IntraPartEdge",
+                             f"edge ({u}, {v}) inside part {part_of[u]}")
 
-    return Instance(graph=build_graph(n, [(u, v) for _, u, v in e_records]),
-                    partition=make_partition(k, v_records),
+    return Instance(graph=build_graph(n, e_pairs),
+                    partition=make_partition(k, part_of[1:]),
                     budgets=Budgets(tuple(b_records[p] for p in range(1, k + 1))))
+
+
+# at most 18 digits, so each int() is cheap; longer fields go line by line
+_FIELD = "[0-9]{1,18}"
+# a line break followed by neither an e record nor the end of the text;
+# unlike a fullmatch of a repeated record group, it keeps no state per line
+_NOT_EDGE = re.compile(rf"\n(?!e {_FIELD} {_FIELD}\n|\Z)")
+_EDGE = re.compile(rf"e ({_FIELD}) ({_FIELD})\n")
+
+
+def _edge_run(text: str, start: int, n: int) -> list[tuple[int, int]] | None:
+    """The (u, v) pairs of the lines from offset start to the end of text,
+    if each is `e <u> <v>` and LF with u != v and both ends in 1..n; else
+    None. text[start - 1] is the LF that ends the p line or a later one."""
+    if _NOT_EDGE.search(text, start - 1) is not None:
+        return None
+    pairs = []
+    for e in _EDGE.finditer(text, start):
+        u, v = int(e[1]), int(e[2])
+        if u == v or not (0 < u <= n and 0 < v <= n):
+            return None
+        pairs.append((u, v))
+    return pairs
 
 
 def serialize_instance(inst: Instance) -> str:

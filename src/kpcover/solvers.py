@@ -1,8 +1,8 @@
 """One dispatcher from an algorithm name to a solve outcome.
 
 `solve(inst, algo)` runs the heuristic (cvck), the exact oracle (exact) or
-the matching 2-approximation (2approx) and returns a SolveResult whose
-`fields` is the JSON object `kpcover solve` prints, keys in this order:
+the matching 2-approximation (2approx) and returns the JSON object
+`kpcover solve` prints, keys in this order:
 
     algo, status, cover, size, per_part_usage, [effort], wall_ms[, budget_violation]
 
@@ -15,7 +15,6 @@ infeasible exact result has `cover: []`, `size: null` and
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Any
 
 from .approx import two_approx_vc
@@ -26,33 +25,23 @@ from .heuristic import SUCCESS, solve_cvck
 ALGOS = ("cvck", "exact", "2approx")
 
 
-@dataclass(frozen=True)
-class SolveResult:
-    """One solver run. ok is False on HeuristicFailure and Infeasible."""
-    status: str
-    ok: bool
-    cover: frozenset[int]
-    size: int | None
-    fields: dict[str, Any]
-
-
-def solve(inst: Instance, algo: str) -> SolveResult:
+def solve(inst: Instance, algo: str) -> dict[str, Any]:
     """Run one of ALGOS on inst; ValueError for any other name."""
     t0 = time.perf_counter()
     if algo == "cvck":
         res = solve_cvck(inst)
         wall_ms = (time.perf_counter() - t0) * 1000.0
-        status, ok, cover = res.status, res.success, res.cover
+        status, cover = res.status, res.cover
         effort = {"op_count": res.op_count}
     elif algo == "exact":
         res = exact_cvck(inst)
         wall_ms = (time.perf_counter() - t0) * 1000.0
-        status, ok, cover = res.status, res.feasible, res.cover or frozenset()
+        status, cover = res.status, res.cover or frozenset()
         effort = {"nodes_explored": res.nodes_explored}
     elif algo == "2approx":
         cover = two_approx_vc(inst.graph)
         wall_ms = (time.perf_counter() - t0) * 1000.0
-        status, ok, effort = SUCCESS, True, {}
+        status, effort = SUCCESS, {}
     else:
         raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGOS}")
 
@@ -62,4 +51,4 @@ def solve(inst: Instance, algo: str) -> SolveResult:
               "size": size, "per_part_usage": usage, **effort, "wall_ms": wall_ms}
     if algo == "2approx":
         fields["budget_violation"] = not respects_budgets(inst, cover)
-    return SolveResult(status=status, ok=ok, cover=cover, size=size, fields=fields)
+    return fields

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -188,6 +190,28 @@ class TestExactMaxClique:
     @settings(max_examples=60, deadline=None)
     def test_complement_cover_identity(self, g):
         assert len(exact_max_clique(g)) + len(exact_min_vc(complement(g))) == g.n
+
+    def test_clique_deeper_than_the_recursion_limit(self):
+        n = 1100
+        g = build_graph(n, [(u, v) for u in range(1, n + 1)
+                            for v in range(u + 1, n + 1)])
+        assert exact_max_clique(g) == frozenset(range(1, n + 1))
+
+    def test_cliques_pinned(self):
+        # 500 seeded graphs, n <= 30 at any density; the digest of their
+        # cliques pins the search order and the tie-break
+        rng = random.Random(500)
+        cliques = []
+        for _ in range(500):
+            n = rng.randint(1, 30)
+            density = rng.random()
+            g = build_graph(n, [(u, v) for u in range(1, n + 1)
+                                for v in range(u + 1, n + 1)
+                                if rng.random() < density])
+            cliques.append(sorted(exact_max_clique(g)))
+        digest = hashlib.sha256(json.dumps(cliques).encode()).hexdigest()
+        assert digest == ("aa3cd413ca8a1f8e9e19a05d1c6128e4"
+                          "1406f899e53755072a151c42352ea846")
 
 
 class TestEnumerate:

@@ -146,6 +146,16 @@ class TestPredicates:
         with pytest.raises(VertexOutOfRangeError):
             is_clique(path3(), {0})
 
+    @pytest.mark.parametrize("s", [[0, 2], [-1], [7]])
+    def test_budget_predicates_reject_out_of_range_vertex(self, s):
+        # path 1-2-3 in parts (1, 2, 1): 0 and -1 once indexed part_of[0]
+        # and vertex 3's part, and 7 raised a bare IndexError
+        inst = Instance(path3(), make_partition(2, [1, 2, 1]), Budgets((0, 1)))
+        with pytest.raises(VertexOutOfRangeError):
+            respects_budgets(inst, s)
+        with pytest.raises(VertexOutOfRangeError):
+            per_part_usage(inst.partition, s)
+
     def test_budget_examples(self):
         inst = Instance(path3(), make_partition(2, [1, 2, 1]), Budgets((0, 1)))
         assert respects_budgets(inst, set())

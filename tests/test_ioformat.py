@@ -12,7 +12,7 @@ from kpcover import (Budgets, GenSpec, Instance, InstanceInvalidError,
                      ParseError, build_graph, gen_kpartite, make_partition,
                      parse_instance, serialize_instance, solve,
                      validate_instance)
-from kpcover.ioformat import _parse_canonical, _parse_lines
+from kpcover import ioformat
 
 MINIMAL = """p kpvc 2 1 2
 v 1 1
@@ -141,10 +141,10 @@ class TestParse:
         assert peak < 1_000_000
 
 
-def _outcome(parse, text):
+def _outcome(text):
     """An instance, or (kind, line, message) for a rejection."""
     try:
-        return parse(text)
+        return parse_instance(text)
     except ParseError as err:
         return err.kind, err.line, str(err)
 
@@ -189,12 +189,43 @@ def _mutate(text, rng):
     return "\n".join(lines) + ("\n" if final_lf else "")
 
 
-class TestCanonicalFastPath:
-    """parse_instance against the line loop alone, on canonical and edited text."""
+# 4 vertices in 2 parts; its three e records are the whole tail
+EDGE_TAIL = """p kpvc 4 3 2
+v 1 1
+v 2 2
+v 3 1
+v 4 2
+b 1 2
+b 2 2
+e 1 2
+e 1 4
+e 2 3
+"""
 
-    def test_same_instance_or_same_error_as_the_line_loop(self):
+
+class TestEdgeRun:
+    """parse_instance with the one-step edge run against it line by line."""
+
+    @staticmethod
+    def outcomes(text):
+        """(outcome, whether the run was taken, outcome line by line)."""
+        taken = []
+        edge_run = ioformat._edge_run
+
+        def recorded(*args):
+            run = edge_run(*args)
+            taken.append(run is not None)
+            return run
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ioformat, "_edge_run", recorded)
+            outcome = _outcome(text)
+            mp.setattr(ioformat, "_edge_run", lambda *args: None)
+            return outcome, any(taken), _outcome(text)
+
+    def test_same_outcome_as_line_by_line(self):
         rng = random.Random(20261018)
-        fast_edited = rejected = 0
+        taken_edited = rejected = 0
         for _ in range(3000):
             n = rng.randint(1, 12)
             k = rng.randint(1, min(4, n))
@@ -206,12 +237,31 @@ class TestCanonicalFastPath:
             edits = rng.choice((0, 1, 1, 2, 3))
             for _ in range(edits):
                 text = _mutate(text, rng)
-            expected = _outcome(_parse_lines, text)
-            assert _outcome(parse_instance, text) == expected, text
-            fast_edited += edits > 0 and _parse_canonical(text) is not None
+            outcome, taken, expected = self.outcomes(text)
+            assert outcome == expected, text
+            taken_edited += edits > 0 and taken
             rejected += isinstance(expected, tuple)
-        # edited text took the fast path too, and errors were compared
-        assert fast_edited > 200 and rejected > 500
+        # edited text took the run too, and errors were compared
+        assert taken_edited > 200 and rejected > 500
+
+    def test_canonical_tail_is_taken(self):
+        outcome, taken, expected = self.outcomes(EDGE_TAIL)
+        assert taken and outcome == expected
+        assert outcome.graph.sorted_edges() == ((1, 2), (1, 4), (2, 3))
+
+    @pytest.mark.parametrize("text", [
+        EDGE_TAIL.replace("e 1 4\n", "e 1 4\r\n"),
+        EDGE_TAIL.replace("e 1 4\n", "c note\ne 1 4\n"),
+        EDGE_TAIL.replace("v 4 2\n", "").replace("e 1 4\n", "v 4 2\ne 1 4\n"),
+        EDGE_TAIL.replace("e 2 3", "e 3 3"),
+        EDGE_TAIL.replace("e 2 3", "e 2 5"),
+        EDGE_TAIL[:-1],
+        EDGE_TAIL.replace("e 2 3", "e 2 " + "3".zfill(19)),
+    ], ids=["cr", "comment", "v-record", "self-loop", "vertex-n-plus-1",
+            "no-final-lf", "19-digit-field"])
+    def test_refused_tail_goes_line_by_line(self, text):
+        outcome, taken, expected = self.outcomes(text)
+        assert not taken and outcome == expected
 
     def test_star_parses_and_validates_without_per_vertex_masks(self):
         # one neighbour bitmask per vertex would take ~50 MB for the leaves
@@ -257,7 +307,7 @@ class TestEmitResult:
                         make_partition(2, [1, 2, 1]), Budgets(limits))
 
     def emit(self, algo, limits=(0, 1)):
-        return json.loads(json.dumps(solve(self.inst(limits), algo).fields))
+        return json.loads(json.dumps(solve(self.inst(limits), algo)))
 
     def test_heuristic_success_json(self):
         out = self.emit("cvck")
@@ -280,10 +330,10 @@ class TestEmitResult:
 
     def test_exact_reports_nodes_explored(self):
         result = solve(self.inst(), "exact")
-        assert result.ok and result.status == "Feasible"
-        assert result.cover == frozenset({2}) and result.size == 1
-        assert result.fields["nodes_explored"] >= 1
-        assert "op_count" not in result.fields
+        assert result["status"] == "Feasible"
+        assert result["cover"] == [2] and result["size"] == 1
+        assert result["nodes_explored"] >= 1
+        assert "op_count" not in result
 
     def test_unknown_algo(self):
         with pytest.raises(ValueError):
