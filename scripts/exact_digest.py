@@ -1,13 +1,17 @@
-"""Digests of generated text and solver output on 5,120 seeded instances.
+"""Digests of generated text, parser and solver output on 5,120 seeded instances.
 
 For each instance it hashes serialize_instance's text into one digest,
 exact_cvck's (status, cover, size, nodes_explored) with exact_min_vc's cover
 on the same graph into a second, and solve_cvck's (status, cover,
-per_part_usage, op_count, uncovered_edges) into a third. Two commits whose
-text digests match generate and serialize the same bytes; two whose exact
-digests match search in the same order, prune the same nodes and break ties
-the same way; two whose cvck digests match pick, veto and count operations
-the same way. Run it against any checkout's sources:
+per_part_usage, op_count, uncovered_edges) into a third. A fourth hashes
+what parse_instance makes of that text after one seeded edit of the kinds a
+hand-edited file shows: the parsed instance's canonical text, or the
+error's (kind, line, message). Two commits whose text digests match
+generate and serialize the same bytes; two whose exact digests match search
+in the same order, prune the same nodes and break ties the same way; two
+whose cvck digests match pick, veto and count operations the same way; two
+whose parse digests match accept and reject the same texts with the same
+errors. Run it against any checkout's sources:
 
     PYTHONPATH=src python scripts/exact_digest.py
 
@@ -26,14 +30,18 @@ import sys
 import time
 from collections import Counter
 
-from kpcover import (GenSpec, SplitMix64, exact_cvck, exact_min_vc,
-                     gen_kpartite, gen_tree, serialize_instance, solve_cvck)
+from kpcover import (GenSpec, ParseError, SplitMix64, exact_cvck,
+                     exact_min_vc, gen_kpartite, gen_tree, parse_instance,
+                     serialize_instance, solve_cvck)
 
 EXPECTED = {
     "text": "4d081075e92f334b1195bb0c59dd590de3ab1d552ed4e2fa37f538a8edb987fe",
     "exact": "28ec5b1c53d842c7eb70f4daa34b36fbe0b90ead11a06ec746408c15e8ded330",
     "cvck": "e759294e0352c6b83a91f3418a66625f3ca983e55399d4f517a0e26752b93224",
+    "parse": "4d6c8052bb96159344d412dcd95149f4c6d656687d1a23ac258e6bd522600a6c",
 }
+EDITS = ("delete", "duplicate", "swap", "digit", "reverse", "zero", "space",
+         "cr", "comment", "no-final-lf")
 
 
 def instances(seed: int = 20261018, count: int = 5120):
@@ -56,12 +64,57 @@ def instances(seed: int = 20261018, count: int = 5120):
             n=n, k=k, density=density, seed=inst_seed, budget_mode=mode))
 
 
+def edit(text: str, rng: SplitMix64) -> str:
+    """Canonical text with one edit drawn from rng; reversing a line that is
+    not an e record leaves the text as it is."""
+    lines = text.split("\n")[:-1]  # canonical text ends with LF
+    how = EDITS[rng.next_below(len(EDITS))]
+    i = rng.next_below(len(lines))
+    fields = lines[i].split(" ")
+    if how == "delete":
+        del lines[i]
+    elif how == "duplicate":
+        lines.insert(rng.next_below(len(lines) + 1), lines[i])
+    elif how == "swap":
+        j = rng.next_below(len(lines))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif how == "digit":
+        digits = [j for j, ch in enumerate(text) if ch.isdigit()]
+        j = digits[rng.next_below(len(digits))]
+        return text[:j] + str(rng.next_below(10)) + text[j + 1:]
+    elif how == "reverse" and fields[0] == "e":
+        lines[i] = " ".join((fields[0], fields[2], fields[1]))
+    elif how == "zero":
+        j = 1 + rng.next_below(len(fields) - 1)
+        fields[j] = "0" + fields[j]
+        lines[i] = " ".join(fields)
+    elif how == "space":
+        lines[i] += " "
+    elif how == "cr":
+        lines[i] += "\r"
+    elif how == "comment":
+        lines.insert(i, "c note")
+    elif how == "no-final-lf":
+        return "\n".join(lines)
+    return "\n".join(lines) + "\n"
+
+
+def parse_outcome(text: str) -> tuple:
+    try:
+        return ("ok", serialize_instance(parse_instance(text)))
+    except ParseError as err:
+        return (err.kind, err.line, str(err))
+
+
 def main() -> int:
     digests = {name: hashlib.sha256() for name in EXPECTED}
     kinds: Counter[str] = Counter()
+    edit_rng = SplitMix64(20261019)
     t0 = time.perf_counter()
     for kind, inst in instances():
-        digests["text"].update(serialize_instance(inst).encode())
+        text = serialize_instance(inst)
+        digests["text"].update(text.encode())
+        digests["parse"].update(repr(parse_outcome(edit(text, edit_rng))).encode())
         res = exact_cvck(inst)
         cover = None if res.cover is None else sorted(res.cover)
         digests["exact"].update(repr((

@@ -14,12 +14,11 @@ v/b/e records may interleave after the p line. Budgets are mandatory, so a
 file is always a complete instance. parse(serialize(inst)) == inst, and the
 canonical serialization (sorted records, no comments) is byte-stable.
 
-parse_instance reads one line at a time. At the first e record it tries to
-take all the remaining lines in one step, as canonical text ends: when each
-is `e <u> <v>` and LF, with u != v and both ends in 1..n, one regex pass
-reads the pairs. The per-line e branch would accept exactly those lines with
-the same values, so any other tail simply goes on line by line, and every
-ParseError comes from the per-line code.
+parse_instance reads the text with one line regex. A line that is exactly
+`v`, `b` or `e`, a space, 1-18 digits, a space and 1-18 digits is read from
+the match groups; any other line (comment, p line, CR, tabs, repeated
+spaces, signs or long fields) is split into tokens. Both shapes then go
+through the same value checks, so the fast shape only skips the tokenizing.
 """
 
 from __future__ import annotations
@@ -37,78 +36,62 @@ def parse_instance(text: str) -> Instance:
     v_records: dict[int, int] = {}
     b_records: dict[int, int] = {}
     e_pairs: list[tuple[int, int]] = []
-    e_lines: list[int] | range = []
+    e_lines: list[int] = []
 
-    # records end at LF only, so a U+2028 or similar in a comment can neither
-    # start a record nor shift the line numbers after it
-    lineno, pos = 0, 0
-    while pos <= len(text):
-        end = text.find("\n", pos)
-        if end < 0:
-            end = len(text)
-        start, pos = pos, end + 1
-        lineno += 1
-        raw = text[start:end]
-        tokens = raw.split()
-        if not tokens or tokens[0] == "c":
-            continue
-        # a non-ASCII character inside a field fails that field's check
-        # below; between fields, str.split() took it for a separator
-        if not raw.isascii() and "".join(tokens).isascii():
-            raise ParseError(lineno, "Syntax", f"non-ASCII separator in {raw!r}")
-        kind = tokens[0]
-        if kind == "p":
-            if header is not None:
-                raise ParseError(lineno, "DuplicateRecord", "second p line")
-            if len(tokens) != 5 or tokens[1] != "kpvc":
-                raise ParseError(lineno, "Syntax", "expected 'p kpvc <n> <m> <k>'")
-            n, m, k = _ints(lineno, tokens[2:])
-            if n < 1 or m < 0 or k < 1:
-                raise ParseError(lineno, "Syntax", f"bad header values n={n} m={m} k={k}")
-            header = (lineno, n, m, k)
-            continue
+    for lineno, line in enumerate(_LINE.finditer(text), 1):
+        kind, x, y, raw = line.groups()
+        if kind is None:
+            tokens = raw.split()
+            if not tokens or tokens[0] == "c":
+                continue
+            # a non-ASCII character inside a field fails that field's check
+            # below; between fields, str.split() took it for a separator
+            if not raw.isascii() and "".join(tokens).isascii():
+                raise ParseError(lineno, "Syntax", f"non-ASCII separator in {raw!r}")
+            kind = tokens[0]
+            if kind == "p":
+                if header is not None:
+                    raise ParseError(lineno, "DuplicateRecord", "second p line")
+                if len(tokens) != 5 or tokens[1] != "kpvc":
+                    raise ParseError(lineno, "Syntax", "expected 'p kpvc <n> <m> <k>'")
+                n, m, k = _ints(lineno, tokens[2:])
+                if n < 1 or m < 0 or k < 1:
+                    raise ParseError(lineno, "Syntax", f"bad header values n={n} m={m} k={k}")
+                header = (lineno, n, m, k)
+                continue
         if header is None:
             raise ParseError(lineno, "Syntax", "record before the p line")
-        _, n, m, k = header
-        if kind == "v":
+        if x is None:
+            if kind not in _RECORDS:
+                raise ParseError(lineno, "Syntax", f"unknown record kind {kind!r}")
             if len(tokens) != 3:
-                raise ParseError(lineno, "Syntax", "expected 'v <vertex> <part>'")
-            vertex, part = _ints(lineno, tokens[1:])
-            if not (1 <= vertex <= n):
-                raise ParseError(lineno, "Syntax", f"vertex {vertex} outside 1..{n}")
-            if not (1 <= part <= k):
-                raise ParseError(lineno, "Syntax", f"part {part} outside 1..{k}")
-            if vertex in v_records:
-                raise ParseError(lineno, "DuplicateRecord", f"vertex {vertex} assigned twice")
-            v_records[vertex] = part
-        elif kind == "b":
-            if len(tokens) != 3:
-                raise ParseError(lineno, "Syntax", "expected 'b <part> <budget>'")
-            part, budget = _ints(lineno, tokens[1:])
-            if not (1 <= part <= k):
-                raise ParseError(lineno, "Syntax", f"part {part} outside 1..{k}")
-            if budget < 0:
-                raise ParseError(lineno, "Syntax", f"negative budget {budget}")
-            if part in b_records:
-                raise ParseError(lineno, "DuplicateRecord", f"budget for part {part} given twice")
-            b_records[part] = budget
-        elif kind == "e":
-            if not e_pairs:  # the first e record
-                run = _edge_run(text, start, n)
-                if run is not None:
-                    e_pairs, e_lines = run, range(lineno, lineno + len(run))
-                    break
-            if len(tokens) != 3:
-                raise ParseError(lineno, "Syntax", "expected 'e <u> <v>'")
-            u, v = _ints(lineno, tokens[1:])
-            if u == v:
-                raise ParseError(lineno, "Syntax", f"self-loop at vertex {u}")
-            if not (1 <= u <= n) or not (1 <= v <= n):
-                raise ParseError(lineno, "Syntax", f"edge ({u}, {v}) outside 1..{n}")
-            e_pairs.append((u, v))
-            e_lines.append(lineno)
+                raise ParseError(lineno, "Syntax", f"expected {_RECORDS[kind]!r}")
+            x, y = _ints(lineno, tokens[1:])
         else:
-            raise ParseError(lineno, "Syntax", f"unknown record kind {kind!r}")
+            x, y = int(x), int(y)
+        if kind == "e":
+            if x == y:
+                raise ParseError(lineno, "Syntax", f"self-loop at vertex {x}")
+            if not (0 < x <= n and 0 < y <= n):
+                raise ParseError(lineno, "Syntax", f"edge ({x}, {y}) outside 1..{n}")
+            e_pairs.append((x, y))
+            e_lines.append(lineno)
+        elif kind == "v":
+            if not (0 < x <= n):
+                raise ParseError(lineno, "Syntax", f"vertex {x} outside 1..{n}")
+            if not (0 < y <= k):
+                raise ParseError(lineno, "Syntax", f"part {y} outside 1..{k}")
+            if x in v_records:
+                raise ParseError(lineno, "DuplicateRecord", f"vertex {x} assigned twice")
+            v_records[x] = y
+        else:
+            if not (0 < x <= k):
+                raise ParseError(lineno, "Syntax", f"part {x} outside 1..{k}")
+            if y < 0:
+                raise ParseError(lineno, "Syntax", f"negative budget {y}")
+            if x in b_records:
+                raise ParseError(lineno, "DuplicateRecord", f"budget for part {x} given twice")
+            b_records[x] = y
 
     if header is None:
         raise ParseError(1, "Syntax", "missing p line")
@@ -139,27 +122,12 @@ def parse_instance(text: str) -> Instance:
                     budgets=Budgets(tuple(b_records[p] for p in range(1, k + 1))))
 
 
-# at most 18 digits, so each int() is cheap; longer fields go line by line
-_FIELD = "[0-9]{1,18}"
-# a line break followed by neither an e record nor the end of the text;
-# unlike a fullmatch of a repeated record group, it keeps no state per line
-_NOT_EDGE = re.compile(rf"\n(?!e {_FIELD} {_FIELD}\n|\Z)")
-_EDGE = re.compile(rf"e ({_FIELD}) ({_FIELD})\n")
-
-
-def _edge_run(text: str, start: int, n: int) -> list[tuple[int, int]] | None:
-    """The (u, v) pairs of the lines from offset start to the end of text,
-    if each is `e <u> <v>` and LF with u != v and both ends in 1..n; else
-    None. text[start - 1] is the LF that ends the p line or a later one."""
-    if _NOT_EDGE.search(text, start - 1) is not None:
-        return None
-    pairs = []
-    for e in _EDGE.finditer(text, start):
-        u, v = int(e[1]), int(e[2])
-        if u == v or not (0 < u <= n and 0 < v <= n):
-            return None
-        pairs.append((u, v))
-    return pairs
+# one line, ended by LF or the end of the text: either a plain v/b/e record,
+# whose 1-18 digit fields int() reads cheaply, or anything else as raw text.
+# `.` stops only at LF, so a U+2028 or similar in a comment can neither start
+# a record nor shift the line numbers after it.
+_LINE = re.compile(r"(?:([vbe]) ([0-9]{1,18}) ([0-9]{1,18})|(.*))(?:\n|\Z)")
+_RECORDS = {"v": "v <vertex> <part>", "b": "b <part> <budget>", "e": "e <u> <v>"}
 
 
 def serialize_instance(inst: Instance) -> str:
@@ -183,4 +151,7 @@ _DECIMALS = re.compile(r"-?[0-9]+(?: -?[0-9]+)*")
 def _ints(lineno: int, tokens: list[str]) -> list[int]:
     if not _DECIMALS.fullmatch(" ".join(tokens)):
         raise ParseError(lineno, "Syntax", f"non-integer field in {tokens}")
-    return [int(t) for t in tokens]
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:  # more digits than the interpreter's int() limit
+        raise ParseError(lineno, "Syntax", "integer field too long") from None

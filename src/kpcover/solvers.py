@@ -9,7 +9,8 @@ the matching 2-approximation (2approx) and returns the JSON object
 The effort key is op_count for cvck and nodes_explored for exact; 2approx
 has none, ignores budgets, and reports budget_violation instead. An
 infeasible exact result has `cover: []`, `size: null` and
-`per_part_usage: null`. wall_ms times the solver call alone.
+`per_part_usage: null`. Every algorithm raises InstanceInvalidError for an
+instance that fails validate_instance. wall_ms times the solver call alone.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ from typing import Any
 
 from .approx import two_approx_vc
 from .exact import INFEASIBLE, exact_cvck
-from .graph import Instance, per_part_usage, respects_budgets
+from .errors import InstanceInvalidError
+from .graph import (Instance, per_part_usage, respects_budgets,
+                    validate_instance)
 from .heuristic import SUCCESS, solve_cvck
 
 ALGOS = ("cvck", "exact", "2approx")
@@ -27,6 +30,11 @@ ALGOS = ("cvck", "exact", "2approx")
 
 def solve(inst: Instance, algo: str) -> dict[str, Any]:
     """Run one of ALGOS on inst; ValueError for any other name."""
+    if algo not in ALGOS:
+        raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGOS}")
+    report = validate_instance(inst)
+    if not report.ok:
+        raise InstanceInvalidError(report)
     t0 = time.perf_counter()
     if algo == "cvck":
         res = solve_cvck(inst)
@@ -38,12 +46,10 @@ def solve(inst: Instance, algo: str) -> dict[str, Any]:
         wall_ms = (time.perf_counter() - t0) * 1000.0
         status, cover = res.status, res.cover or frozenset()
         effort = {"nodes_explored": res.nodes_explored}
-    elif algo == "2approx":
+    else:
         cover = two_approx_vc(inst.graph)
         wall_ms = (time.perf_counter() - t0) * 1000.0
         status, effort = SUCCESS, {}
-    else:
-        raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGOS}")
 
     size = None if status == INFEASIBLE else len(cover)
     usage = None if size is None else list(per_part_usage(inst.partition, cover))

@@ -135,6 +135,12 @@ class TestSolve:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: line 3: Syntax: invalid UTF-8 byte 0xe9"]
 
+    def test_field_over_the_int_digit_limit_exits_2(self, tmp_path, capsys):
+        text = PATH_FILE.replace("b 2 1", "b 2 " + "1" * 5000)
+        assert main(["solve", write(tmp_path, "long.kpvc", text)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: line 6: Syntax: integer field too long"]
+
     def test_heuristic_failure_exit_code(self, tmp_path):
         path = write(tmp_path, "z.kpvc", ZERO_BUDGET_FILE)
         assert main(["solve", path, "--algo", "cvck"]) == 4

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import tracemalloc
 
 import pytest
 
-from kpcover import (Budgets, GenSpec, Instance, InstanceInvalidError,
+from kpcover import (ALGOS, Budgets, GenSpec, Instance, InstanceInvalidError,
                      ParseError, build_graph, gen_kpartite, make_partition,
                      parse_instance, serialize_instance, solve,
                      validate_instance)
@@ -121,6 +122,12 @@ class TestParse:
         err = parse_err("p kpvc 1 0 1\nv 1 1\nb 1 -1\n")
         assert err.kind == "Syntax"
 
+    def test_field_over_the_int_digit_limit_is_a_syntax_error(self):
+        # int() refuses strings of more than 4,300 digits by default
+        err = parse_err(MINIMAL.replace("b 2 1", "b 2 " + "1" * 5000))
+        assert err.kind == "Syntax" and err.line == 5
+        assert "too long" in str(err)
+
     def test_record_before_p(self):
         err = parse_err("v 1 1\np kpvc 1 0 1\nb 1 1\n")
         assert err.kind == "Syntax" and err.line == 1
@@ -203,29 +210,48 @@ e 2 3
 """
 
 
+class _PlainCounter:
+    """Stands in for ioformat._LINE and counts the plain records it yields."""
+
+    def __init__(self, line):
+        self.line, self.plain = line, 0
+
+    def finditer(self, text):
+        for match in self.line.finditer(text):
+            self.plain += match[1] is not None
+            yield match
+
+
 class TestEdgeRun:
-    """parse_instance with the one-step edge run against it line by line."""
+    """Plain records, such as the run of e records canonical text ends with,
+    read from the match groups, against the same text read line by line
+    from tokens alone: _LINE with its plain alternative never matching."""
 
     @staticmethod
     def outcomes(text):
-        """(outcome, whether the run was taken, outcome line by line)."""
-        taken = []
-        edge_run = ioformat._edge_run
-
-        def recorded(*args):
-            run = edge_run(*args)
-            taken.append(run is not None)
-            return run
-
+        """(outcome, plain records read, outcome line by line)."""
+        counter = _PlainCounter(ioformat._LINE)
+        tokens_only = re.compile(ioformat._LINE.pattern.replace(
+            "(?:([vbe])", "(?:(?!)([vbe])", 1))
+        assert tokens_only.pattern != ioformat._LINE.pattern
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ioformat, "_edge_run", recorded)
+            mp.setattr(ioformat, "_LINE", counter)
             outcome = _outcome(text)
-            mp.setattr(ioformat, "_edge_run", lambda *args: None)
-            return outcome, any(taken), _outcome(text)
+            mp.setattr(ioformat, "_LINE", tokens_only)
+            return outcome, counter.plain, _outcome(text)
+
+    def assert_same_outcome(self, text, kind):
+        """Both readings agree: EDGE_TAIL's instance, or an error of kind."""
+        outcome, _, expected = self.outcomes(text)
+        assert outcome == expected
+        if kind is None:
+            assert outcome == parse_instance(EDGE_TAIL)
+        else:
+            assert outcome[0] == kind
 
     def test_same_outcome_as_line_by_line(self):
         rng = random.Random(20261018)
-        taken_edited = rejected = 0
+        plain_edited = rejected = 0
         for _ in range(3000):
             n = rng.randint(1, 12)
             k = rng.randint(1, min(4, n))
@@ -237,31 +263,51 @@ class TestEdgeRun:
             edits = rng.choice((0, 1, 1, 2, 3))
             for _ in range(edits):
                 text = _mutate(text, rng)
-            outcome, taken, expected = self.outcomes(text)
+            outcome, plain, expected = self.outcomes(text)
             assert outcome == expected, text
-            taken_edited += edits > 0 and taken
+            plain_edited += edits > 0 and plain > 0
             rejected += isinstance(expected, tuple)
-        # edited text took the run too, and errors were compared
-        assert taken_edited > 200 and rejected > 500
+        # edited text took the plain shape too, and errors were compared
+        assert plain_edited > 200 and rejected > 500
 
     def test_canonical_tail_is_taken(self):
-        outcome, taken, expected = self.outcomes(EDGE_TAIL)
-        assert taken and outcome == expected
+        outcome, plain, expected = self.outcomes(EDGE_TAIL)
+        assert plain == 4 + 2 + 3 and outcome == expected
         assert outcome.graph.sorted_edges() == ((1, 2), (1, 4), (2, 3))
 
-    @pytest.mark.parametrize("text", [
-        EDGE_TAIL.replace("e 1 4\n", "e 1 4\r\n"),
-        EDGE_TAIL.replace("e 1 4\n", "c note\ne 1 4\n"),
-        EDGE_TAIL.replace("v 4 2\n", "").replace("e 1 4\n", "v 4 2\ne 1 4\n"),
-        EDGE_TAIL.replace("e 2 3", "e 3 3"),
-        EDGE_TAIL.replace("e 2 3", "e 2 5"),
-        EDGE_TAIL[:-1],
-        EDGE_TAIL.replace("e 2 3", "e 2 " + "3".zfill(19)),
+    @pytest.mark.parametrize("text, kind", [
+        (EDGE_TAIL.replace("e 1 4\n", "e 1 4\r\n"), None),
+        (EDGE_TAIL.replace("e 1 4\n", "c note\ne 1 4\n"), None),
+        (EDGE_TAIL.replace("v 4 2\n", "").replace("e 1 4\n", "v 4 2\ne 1 4\n"), None),
+        (EDGE_TAIL.replace("e 2 3", "e 3 3"), "Syntax"),
+        (EDGE_TAIL.replace("e 2 3", "e 2 5"), "Syntax"),
+        (EDGE_TAIL[:-1], None),
+        (EDGE_TAIL.replace("e 2 3", "e 2 " + "3".zfill(19)), None),
     ], ids=["cr", "comment", "v-record", "self-loop", "vertex-n-plus-1",
             "no-final-lf", "19-digit-field"])
-    def test_refused_tail_goes_line_by_line(self, text):
-        outcome, taken, expected = self.outcomes(text)
-        assert not taken and outcome == expected
+    def test_refused_tail_goes_line_by_line(self, text, kind):
+        self.assert_same_outcome(text, kind)
+
+    @pytest.mark.parametrize("text, kind", [
+        (EDGE_TAIL.replace("v 4 2\n", "v 4 2\r\n"), None),
+        (EDGE_TAIL.replace("b 2 2\n", "b 2 2\r\n"), None),
+        (EDGE_TAIL.replace("v 4 2\n", "c note\nv 4 2\n"), None),
+        (EDGE_TAIL.replace("b 2 2\n", "c note\nb 2 2\n"), None),
+        (EDGE_TAIL.replace("b 2 2\n", "").replace("e 1 4\n", "b 2 2\ne 1 4\n"), None),
+        (EDGE_TAIL.replace("v 4 2", "v 4 3"), "Syntax"),
+        (EDGE_TAIL.replace("b 2 2", "b 0 2"), "Syntax"),
+        (EDGE_TAIL.replace("v 4 2", "v 5 2"), "Syntax"),
+        (EDGE_TAIL.replace("b 2 2", "b 3 2"), "Syntax"),
+        (EDGE_TAIL.replace("v 4 2\n", "") + "v 4 2", None),
+        (EDGE_TAIL.replace("b 2 2\n", "") + "b 2 2", None),
+        (EDGE_TAIL.replace("v 4 2", "v 4 " + "2".zfill(19)), None),
+        (EDGE_TAIL.replace("b 2 2", "b 2 " + "2".zfill(19)), None),
+    ], ids=["cr-v", "cr-b", "comment-v", "comment-b", "b-record-after-e",
+            "part-k-plus-1-v", "part-0-b", "vertex-n-plus-1-v",
+            "part-k-plus-1-b", "no-final-lf-v", "no-final-lf-b",
+            "19-digit-field-v", "19-digit-field-b"])
+    def test_edited_v_and_b_records_go_line_by_line(self, text, kind):
+        self.assert_same_outcome(text, kind)
 
     def test_star_parses_and_validates_without_per_vertex_masks(self):
         # one neighbour bitmask per vertex would take ~50 MB for the leaves
@@ -334,6 +380,17 @@ class TestEmitResult:
         assert result["cover"] == [2] and result["size"] == 1
         assert result["nodes_explored"] >= 1
         assert "op_count" not in result
+
+    @pytest.mark.parametrize("algo", ALGOS)
+    @pytest.mark.parametrize("partition, limits", [
+        (make_partition(2, [1, 1, 2]), (1, 1)),
+        (make_partition(2, [1, 2, 1]), (1, 1, 1)),
+    ], ids=["intra-part-edge", "budget-count"])
+    def test_invalid_instance_rejected(self, algo, partition, limits):
+        inst = Instance(build_graph(3, [(1, 2), (2, 3)]), partition,
+                        Budgets(limits))
+        with pytest.raises(InstanceInvalidError):
+            solve(inst, algo)
 
     def test_unknown_algo(self):
         with pytest.raises(ValueError):
