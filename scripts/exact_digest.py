@@ -38,7 +38,7 @@ EXPECTED = {
     "text": "4d081075e92f334b1195bb0c59dd590de3ab1d552ed4e2fa37f538a8edb987fe",
     "exact": "28ec5b1c53d842c7eb70f4daa34b36fbe0b90ead11a06ec746408c15e8ded330",
     "cvck": "e759294e0352c6b83a91f3418a66625f3ca983e55399d4f517a0e26752b93224",
-    "parse": "4d6c8052bb96159344d412dcd95149f4c6d656687d1a23ac258e6bd522600a6c",
+    "parse": "af501f7f8c33b531d94e0131ebbe6aa9c72a92039d7a4b2cdcf40b368a4be9d6",
 }
 EDITS = ("delete", "duplicate", "swap", "digit", "reverse", "zero", "space",
          "cr", "comment", "no-final-lf")

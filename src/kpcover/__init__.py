@@ -14,16 +14,15 @@ from .errors import (InstanceInvalidError, InstanceTooLargeError,
                      KOutOfRangeError, KPCoverError, NotACliqueError,
                      NotACoverError, ParseError, SelfLoopError,
                      SpecInvalidError, VertexOutOfRangeError)
-from .exact import (ExactResult, cvck_feasible, enumerate_min_cvck,
-                    exact_cvck, exact_max_clique, exact_min_vc)
+from .exact import (ExactResult, enumerate_min_cvck, exact_cvck,
+                    exact_max_clique, exact_min_vc)
 from .generate import (GenSpec, SplitMix64, derive_budgets,
                        gen_complete_kpartite, gen_kpartite, gen_tree,
                        parse_budget_mode)
 from .graph import (Budgets, Graph, Instance, KPartition, ValidationReport,
-                    build_graph, canonicalize_partition, complement,
-                    greedy_partition, is_clique, is_vertex_cover,
-                    make_partition, per_part_usage, respects_budgets,
-                    validate_instance)
+                    build_graph, complement, greedy_partition, is_clique,
+                    is_vertex_cover, make_partition, per_part_usage,
+                    respects_budgets, validate_instance)
 from .heuristic import (CoverResult, HeuristicState, extract_max,
                         make_decision, solve_cvck)
 from .ioformat import parse_instance, serialize_instance
@@ -41,8 +40,8 @@ __all__ = [
     "NotACoverError", "ParseError", "ReductionOutput", "SelfLoopError",
     "SpecInvalidError", "SplitMix64", "ValidationReport",
     "VertexOutOfRangeError",
-    "build_graph", "canonicalize_partition", "clique_cert_to_cover",
-    "complement", "cover_cert_to_clique", "cvck_feasible", "derive_budgets",
+    "build_graph", "clique_cert_to_cover", "complement",
+    "cover_cert_to_clique", "derive_budgets",
     "enumerate_min_cvck", "exact_cvck", "exact_max_clique",
     "exact_min_vc", "extract_max", "gen_complete_kpartite", "gen_kpartite",
     "gen_tree", "greedy_partition", "is_clique", "is_vertex_cover",

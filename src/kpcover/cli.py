@@ -118,16 +118,13 @@ def _load_instance(path: str) -> Instance:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    inst = _load_instance(args.path)
-    report = validate_instance(inst)
+    report = validate_instance(_load_instance(args.path))
+    if not report.ok:
+        raise InstanceInvalidError(report)
     for w in report.warnings:
         print(f"warning: {w}")
-    if report.ok:
-        print("ok")
-        return EXIT_OK
-    for v in report.violations:
-        print(f"violation: {v}")
-    return EXIT_INVALID
+    print("ok")
+    return EXIT_OK
 
 
 def cmd_solve(args: argparse.Namespace) -> int:

@@ -50,11 +50,6 @@ def exact_cvck(inst: Instance) -> ExactResult:
                        nodes_explored=nodes)
 
 
-def cvck_feasible(inst: Instance) -> bool:
-    """Decision form: does any budget-respecting cover exist?"""
-    return exact_cvck(inst).feasible
-
-
 def exact_min_vc(g: Graph) -> frozenset[int]:
     """Minimum vertex cover with the same deterministic tie-break, no budgets."""
     best, _ = _min_cover_search(g, (0,) + (1,) * g.n, (g.n,))
@@ -162,7 +157,7 @@ def exact_max_clique(g: Graph) -> frozenset[int]:
     return frozenset(best)
 
 
-def enumerate_min_cvck(inst: Instance, limit: int = EXHAUSTIVE_LIMIT) -> set[frozenset[int]]:
+def enumerate_min_cvck(inst: Instance) -> set[frozenset[int]]:
     """All minimum-size budget-respecting covers, by exhaustive enumeration.
 
     Independent check route for exact_cvck; subsets are tried in ascending
@@ -173,8 +168,8 @@ def enumerate_min_cvck(inst: Instance, limit: int = EXHAUSTIVE_LIMIT) -> set[fro
     if not report.ok:
         raise InstanceInvalidError(report)
     n = inst.graph.n
-    if n > limit:
-        raise InstanceTooLargeError(f"n={n} exceeds exhaustive limit {limit}")
+    if n > EXHAUSTIVE_LIMIT:
+        raise InstanceTooLargeError(f"n={n} exceeds exhaustive limit {EXHAUSTIVE_LIMIT}")
     emasks = [(1 << (u - 1)) | (1 << (v - 1)) for u, v in inst.graph.sorted_edges()]
     k = inst.partition.k
     part_masks = [0] * (k + 1)

@@ -10,7 +10,7 @@ byte-identical serialized instances on any platform. Normative draw order:
   visited in ascending order; each pair whose endpoints lie in different
   parts consumes exactly one draw and becomes an edge iff
   next_float() < density. Same-part pairs consume nothing.
-* gen_tree: a tree on n >= 3 vertices is decoded from a sequence of n - 2
+* gen_tree: a tree on n >= 2 vertices is decoded from a sequence of n - 2
   labels, each drawn as 1 + next_below(n); the decode repeatedly joins the
   smallest degree-1 vertex to the next label. n <= 2 draws nothing.
 
@@ -169,8 +169,6 @@ def gen_tree(n: int, seed: int, budget_mode: str = "slack:1") -> Instance:
     rng = SplitMix64(seed)
     if n == 1:
         edges: list[tuple[int, int]] = []
-    elif n == 2:
-        edges = [(1, 2)]
     else:
         seq = [1 + rng.next_below(n) for _ in range(n - 2)]
         edges = _decode_label_sequence(n, seq)
@@ -230,7 +228,7 @@ def _bfs_depths(graph: Graph) -> list[int]:
     while queue:
         nxt = []
         for u in queue:
-            for w in sorted(graph.adjacency[u]):
+            for w in graph.adjacency[u]:
                 if depth[w] < 0:
                     depth[w] = depth[u] + 1
                     nxt.append(w)

@@ -2,8 +2,8 @@
 
 Vertices are dense 1-based integer ids. Edges are unordered pairs stored as
 (u, v) tuples with u < v. A Graph stores its edges once, as a tuple sorted
-ascending; sorted_edges() hands out that tuple, every layer that walks the
-edges reads it, and Graph.edges is a set view derived from it on first use.
+ascending; sorted_edges() hands out that tuple and every layer that walks
+the edges reads it.
 All types are immutable after construction, so instances can be shared
 freely between concurrent solver calls; solvers that need a mutable edge
 view keep their own overlay.
@@ -12,7 +12,6 @@ view keep their own overlay.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import SelfLoopError, VertexOutOfRangeError
@@ -32,11 +31,6 @@ class Graph:
     n: int
     edge_order: tuple[Edge, ...]
     adjacency: tuple[frozenset[int], ...] = field(compare=False)
-
-    @cached_property
-    def edges(self) -> frozenset[Edge]:
-        """The edge set, built from edge_order on first use."""
-        return frozenset(self.edge_order)
 
     @property
     def m(self) -> int:
@@ -199,7 +193,7 @@ def validate_instance(inst: Instance) -> ValidationReport:
 def is_vertex_cover(g: Graph, s: Iterable[int]) -> bool:
     """True iff every edge of g has at least one endpoint in s."""
     sset = _checked_subset(g, s)
-    return all(u in sset or v in sset for u, v in g.edge_order)
+    return all(u in sset or v in sset for u, v in g.sorted_edges())
 
 
 def is_clique(g: Graph, s: Iterable[int]) -> bool:
@@ -244,18 +238,6 @@ def greedy_partition(g: Graph) -> KPartition:
         color[v] = c
         k = max(k, c)
     return make_partition(k, color)
-
-
-def canonicalize_partition(inst: Instance) -> Instance:
-    """Drop empty parts, renumbering the survivors and their budgets in order."""
-    part = inst.partition
-    kept = [p for p in range(1, part.k + 1) if part.parts[p]]
-    renum = {p: i + 1 for i, p in enumerate(kept)}
-    new_assign = {v: renum[part.part_of[v]] for v in range(1, part.n + 1)}
-    new_limits = tuple(inst.budgets.limits[p - 1] for p in kept)
-    return Instance(graph=inst.graph,
-                    partition=make_partition(len(kept), new_assign),
-                    budgets=Budgets(new_limits))
 
 
 def _checked_subset(g: Graph, s: Iterable[int]) -> set[int]:

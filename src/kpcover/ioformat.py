@@ -8,7 +8,7 @@ may hold any text; every other line is ASCII:
     p kpvc <n> <m> <k>    exactly one, first non-comment line
     v <vertex> <part>     exactly one per vertex 1..n, part in 1..k
     b <part> <budget>     exactly one per part 1..k, budget >= 0
-    e <u> <v>             m lines, u != v
+    e <u> <v>             m lines, u != v, no pair twice in either order
 
 v/b/e records may interleave after the p line. Budgets are mandatory, so a
 file is always a complete instance. parse(serialize(inst)) == inst, and the
@@ -117,7 +117,15 @@ def parse_instance(text: str) -> Instance:
             raise ParseError(e_lines[i], "IntraPartEdge",
                              f"edge ({u}, {v}) inside part {part_of[u]}")
 
-    return Instance(graph=build_graph(n, e_pairs),
+    graph = build_graph(n, e_pairs)
+    if graph.m != m:  # build_graph merged a repeated pair; name its line
+        seen: set[tuple[int, int]] = set()
+        for i, (u, v) in enumerate(e_pairs):
+            pair = (u, v) if u < v else (v, u)
+            if pair in seen:
+                raise ParseError(e_lines[i], "DuplicateRecord", f"edge ({u}, {v}) given twice")
+            seen.add(pair)
+    return Instance(graph=graph,
                     partition=make_partition(k, part_of[1:]),
                     budgets=Budgets(tuple(b_records[p] for p in range(1, k + 1))))
 

@@ -109,6 +109,19 @@ class TestValidate:
         assert main(["validate", write(tmp_path, "intra.kpvc", text)]) == 3
         assert "line 5" in capsys.readouterr().err
 
+    def test_empty_part_is_a_warning(self, tmp_path, capsys):
+        text = "p kpvc 2 1 3\nv 1 1\nv 2 2\nb 1 1\nb 2 1\nb 3 0\ne 1 2\n"
+        assert main(["validate", write(tmp_path, "empty.kpvc", text)]) == 0
+        assert capsys.readouterr().out == "warning: part 3 is empty\nok\n"
+
+    def test_repeated_edge_exits_2(self, tmp_path, capsys):
+        text = PATH_FILE.replace("p kpvc 3 2 2", "p kpvc 3 3 2") + "e 2 1\n"
+        assert main(["validate", write(tmp_path, "twice.kpvc", text)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: line 9: DuplicateRecord: "
+                                "edge (2, 1) given twice\n")
+
 
 class TestSolve:
     def test_exact_on_path(self, tmp_path, capsys):
@@ -208,6 +221,16 @@ class TestGen:
         assert main(["gen", "--n", "3", "--k", "5", "--density", "0.5",
                      "--seed", "1"]) == 2
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--complete", "2,x"], "bad part sizes '2,x'"),
+        (["--tree", "--seed", "1"], "--tree requires --n"),
+        (["--n", "4", "--density", "0.5"], "gen requires --n, --k and --density"),
+    ], ids=["complete-sizes", "tree-without-n", "without-k"])
+    def test_spec_errors_exit_2(self, capsys, flags, message):
+        assert main(["gen"] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
     def test_gen_output_validates(self, tmp_path, capsys):
         assert main(["gen", "--n", "9", "--k", "3", "--density", "0.6",
                      "--seed", "3"]) == 0
@@ -223,6 +246,35 @@ class TestGen:
             capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "p kpvc 2 1 2"
+
+
+class TestProcess:
+    """kpcover.cli run as a program: entry() turns main's code into the exit status."""
+
+    def test_exit_statuses(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=SRC)
+        path_file = write(tmp_path, "path.kpvc", PATH_FILE)
+        zero_budget = write(tmp_path, "zero.kpvc", ZERO_BUDGET_FILE)
+        cases = [
+            (["validate", path_file], 0, "ok\n", ""),
+            (["validate", str(tmp_path / "nope.kpvc")], 1, "", "error: [Errno 2]"),
+            (["validate", write(tmp_path, "syntax.kpvc", "p kpvc x 0 1\n")], 2, "",
+             "error: line 1: Syntax: non-integer field in ['x', '0', '1']\n"),
+            (["validate", write(tmp_path, "intra.kpvc",
+                                "p kpvc 2 1 1\nv 1 1\nv 2 1\nb 1 2\ne 1 2\n")], 3, "",
+             "error: line 5: IntraPartEdge: edge (1, 2) inside part 1\n"),
+            (["solve", zero_budget, "--algo", "cvck"], 4,
+             '{"algo": "cvck", "status": "HeuristicFailure"', ""),
+            (["solve", zero_budget, "--algo", "exact"], 5,
+             '{"algo": "exact", "status": "Infeasible"', ""),
+        ]
+        for args, status, out, err in cases:
+            proc = subprocess.run([sys.executable, "-m", "kpcover.cli", *args],
+                                  capture_output=True, text=True, env=env,
+                                  timeout=60)
+            assert proc.returncode == status, (args, proc.stderr)
+            assert proc.stdout.startswith(out) and bool(proc.stdout) == bool(out), args
+            assert proc.stderr.startswith(err) and bool(proc.stderr) == bool(err), args
 
 
 class TestReduceClique:
@@ -292,6 +344,12 @@ class TestBench:
                 assert int(fields[10]) >= 0
             if fields[6] == "2approx" and fields[9] != "":
                 assert int(fields[8]) <= 2 * int(fields[9])
+
+    def test_bad_sizes_exits_2(self, tmp_path, capsys):
+        out_path = tmp_path / "bench.csv"
+        assert main(["bench", "--sizes", "1,x", "--out", str(out_path)]) == 2
+        assert capsys.readouterr().err == "error: bad sizes list '1,x'\n"
+        assert not out_path.exists()
 
     @pytest.mark.parametrize("flags, summary, csv_sha256", BENCH_PINS,
                              ids=["oracle-on-some", "tree-claim", "no-oracle"])

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 
 from kpcover import (Budgets, GenSpec, Instance, InstanceInvalidError,
                      InstanceTooLargeError, SplitMix64, build_graph,
-                     complement, cvck_feasible, enumerate_min_cvck,
-                     exact_cvck, exact_max_clique, exact_min_vc, gen_kpartite,
+                     complement, enumerate_min_cvck, exact_cvck,
+                     exact_max_clique, exact_min_vc, gen_kpartite,
                      is_vertex_cover, make_partition, respects_budgets,
                      serialize_instance)
 from kpcover.cli import main
@@ -54,8 +54,8 @@ class TestExactCvck:
             enumerate_min_cvck(bad)
 
     def test_decision_form(self):
-        assert cvck_feasible(path_instance((0, 1)))
-        assert not cvck_feasible(path_instance((0, 0)))
+        assert exact_cvck(path_instance((0, 1))).feasible
+        assert not exact_cvck(path_instance((0, 0))).feasible
 
     @given(instances())
     @settings(max_examples=150, deadline=None)
@@ -165,7 +165,7 @@ class TestExactMinVc:
         from itertools import combinations
         max_is = 0
         for size in range(g.n, -1, -1):
-            if any(all(not (u in c and v in c) for u, v in g.edges)
+            if any(all(not (u in c and v in c) for u, v in g.sorted_edges())
                    for c in (set(c) for c in combinations(range(1, g.n + 1), size))):
                 max_is = size
                 break

@@ -35,6 +35,13 @@ class TestSplitMix64:
         assert set(xs) <= set(range(7))
         assert len(set(xs)) == 7  # 500 draws hit every residue
 
+    @pytest.mark.parametrize("bound", [0, -3])
+    def test_next_below_rejects_an_empty_range(self, bound):
+        rng = SplitMix64(99)
+        with pytest.raises(ValueError, match=r"^bound must be positive$"):
+            rng.next_below(bound)
+        assert rng.state == 99  # nothing was drawn
+
 
 class TestGenKPartite:
     def test_density_zero_is_edgeless(self):
@@ -53,7 +60,7 @@ class TestGenKPartite:
     def test_different_seeds_differ(self):
         a = gen_kpartite(GenSpec(n=20, k=4, density=0.5, seed=1))
         b = gen_kpartite(GenSpec(n=20, k=4, density=0.5, seed=2))
-        assert a.graph.edges != b.graph.edges
+        assert a.graph.sorted_edges() != b.graph.sorted_edges()
 
     def test_even_split_remainder_to_early_parts(self):
         inst = gen_kpartite(GenSpec(n=11, k=3, density=0.2, seed=9))
@@ -117,6 +124,10 @@ class TestBudgetModes:
             with pytest.raises(SpecInvalidError):
                 parse_budget_mode(bad)
 
+    def test_negative_fixed_limit(self):
+        with pytest.raises(SpecInvalidError, match=r"^fixed limits must be >= 0$"):
+            parse_budget_mode("fixed:1,-1")
+
     def test_exact_mode_is_tightest_feasible(self):
         for seed in range(10):
             inst = gen_kpartite(GenSpec(n=10, k=3, density=0.5, seed=seed,
@@ -147,7 +158,7 @@ class TestGenTree:
 
     def test_two_vertices(self):
         inst = gen_tree(2, 7)
-        assert inst.graph.edges == frozenset({(1, 2)})
+        assert inst.graph.sorted_edges() == ((1, 2),)
         assert inst.partition.part_of[1] != inst.partition.part_of[2]
 
     def test_tree_structure(self):
@@ -188,7 +199,7 @@ class TestGenTree:
 class TestCompleteKPartite:
     def test_two_singletons_is_k2(self):
         inst = gen_complete_kpartite((1, 1))
-        assert inst.graph.edges == frozenset({(1, 2)})
+        assert inst.graph.sorted_edges() == ((1, 2),)
 
     def test_three_singletons_is_triangle(self):
         inst = gen_complete_kpartite((1, 1, 1))

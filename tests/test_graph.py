@@ -7,10 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kpcover import (Budgets, Instance, SelfLoopError, VertexOutOfRangeError,
-                     build_graph, canonicalize_partition, complement,
-                     greedy_partition, is_clique, is_vertex_cover,
-                     make_partition, per_part_usage, respects_budgets,
-                     validate_instance)
+                     build_graph, complement, greedy_partition, is_clique,
+                     is_vertex_cover, make_partition, per_part_usage,
+                     respects_budgets, validate_instance)
 
 from oracles import covers_all_edges, within_budgets
 from strategies import graphs, instances
@@ -51,7 +50,11 @@ class TestBuildGraph:
             assert g.sorted_edges() == ref.sorted_edges() == ordered
             assert all(type(e) is tuple for e in g.sorted_edges())
             assert g == ref and hash(g) == hash(ref)
-            assert g.edges == frozenset(ordered)
+
+    def test_zero_vertices_rejected(self):
+        with pytest.raises(VertexOutOfRangeError,
+                           match=r"^vertex count must be >= 1, got 0$"):
+            build_graph(0, [])
 
     def test_self_loop_rejected(self):
         with pytest.raises(SelfLoopError):
@@ -63,9 +66,26 @@ class TestBuildGraph:
 
     @given(graphs())
     def test_adjacency_symmetric(self, g):
-        for u, v in g.edges:
+        for u, v in g.sorted_edges():
             assert v in g.adjacency[u] and u in g.adjacency[v]
         assert sum(g.degree(v) for v in g.vertices()) == 2 * g.m
+
+
+class TestConstructors:
+    @pytest.mark.parametrize("k, part_of, message", [
+        (0, [], r"^part count must be >= 1, got 0$"),
+        (2, [1, 3], r"^vertex 2 assigned to part 3, outside 1\.\.2$"),
+        (2, [0, 1], r"^vertex 1 assigned to part 0, outside 1\.\.2$"),
+        (2, {1: 1, 3: 2}, r"^partition must assign exactly vertices 1\.\.n$"),
+        (2, {0: 1, 1: 2}, r"^partition must assign exactly vertices 1\.\.n$"),
+    ], ids=["k-zero", "part-above-k", "part-zero", "key-gap", "key-zero"])
+    def test_make_partition_rejects(self, k, part_of, message):
+        with pytest.raises(VertexOutOfRangeError, match=message):
+            make_partition(k, part_of)
+
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError, match=r"^budgets must be non-negative$"):
+            Budgets((1, -1))
 
 
 class TestValidate:
@@ -90,17 +110,16 @@ class TestValidate:
         assert report.ok
         assert any("part 3" in w for w in report.warnings)
 
+    def test_partition_size_mismatch(self):
+        inst = Instance(path3(), make_partition(2, [1, 2]), Budgets((1, 1)))
+        report = validate_instance(inst)
+        assert not report.ok
+        assert report.violations == ("partition assigns 2 vertices, graph has 3",)
+        assert report.warnings == ()
+
     def test_budget_arity_mismatch(self):
         inst = Instance(path3(), make_partition(2, [1, 2, 1]), Budgets((1,)))
         assert not validate_instance(inst).ok
-
-    def test_canonicalize_drops_empty_parts(self):
-        inst = Instance(build_graph(2, [(1, 2)]), make_partition(3, [1, 3]),
-                        Budgets((1, 5, 1)))
-        canon = canonicalize_partition(inst)
-        assert canon.partition.k == 2
-        assert canon.budgets.limits == (1, 1)
-        assert validate_instance(canon).ok
 
 
 class TestComplement:
@@ -109,7 +128,7 @@ class TestComplement:
 
     def test_empty_two_vertices(self):
         g = complement(build_graph(2, []))
-        assert g.edges == frozenset({(1, 2)})
+        assert g.sorted_edges() == ((1, 2),)
 
     @given(graphs(max_n=10))
     def test_involution(self, g):
@@ -183,7 +202,7 @@ class TestPredicates:
         # s covers g iff the complement set spans no edge of g
         s = data.draw(st.sets(st.integers(1, g.n)))
         rest = set(g.vertices()) - s
-        independent = all(not (u in rest and v in rest) for u, v in g.edges)
+        independent = all(not (u in rest and v in rest) for u, v in g.sorted_edges())
         assert is_vertex_cover(g, s) == independent
 
 
@@ -205,7 +224,7 @@ class TestGreedyPartition:
     @given(graphs(max_n=10))
     def test_output_is_proper(self, g):
         part = greedy_partition(g)
-        for u, v in g.edges:
+        for u, v in g.sorted_edges():
             assert part.part_of[u] != part.part_of[v]
 
     @given(graphs(max_n=10))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import sys
 import tracemalloc
 
 import pytest
@@ -33,7 +34,7 @@ def parse_err(text):
 class TestParse:
     def test_minimal_file(self):
         inst = parse_instance(MINIMAL)
-        assert inst.graph.edges == frozenset({(1, 2)})
+        assert inst.graph.sorted_edges() == ((1, 2),)
         assert inst.partition.part_of[1:] == (1, 2)
         assert inst.budgets.limits == (1, 1)
 
@@ -52,6 +53,37 @@ class TestParse:
     def test_missing_p_line(self):
         err = parse_err("v 1 1\n")
         assert err.kind == "Syntax"
+
+    @pytest.mark.parametrize("text", ["", "c only a comment\n\nc and another\n"],
+                             ids=["empty", "comments-only"])
+    def test_no_p_line_at_all(self, text):
+        err = parse_err(text)
+        assert (err.kind, err.line, str(err)) == (
+            "Syntax", 1, "line 1: Syntax: missing p line")
+
+    @pytest.mark.parametrize("record, line, expected", [
+        ("e 1 2 3", 6, "expected 'e <u> <v>'"),
+        ("v 1", 2, "expected 'v <vertex> <part>'"),
+        ("b 1 1 1", 4, "expected 'b <part> <budget>'"),
+    ], ids=["e", "v", "b"])
+    def test_wrong_field_count(self, record, line, expected):
+        lines = MINIMAL.splitlines()
+        lines[line - 1] = record
+        err = parse_err("\n".join(lines) + "\n")
+        assert (err.kind, err.line, str(err)) == (
+            "Syntax", line, f"line {line}: Syntax: {expected}")
+
+    @pytest.mark.parametrize("text, line, pair", [
+        (MINIMAL.replace("p kpvc 2 1 2", "p kpvc 2 2 2") + "e 1 2\n", 7, "(1, 2)"),
+        (MINIMAL.replace("p kpvc 2 1 2", "p kpvc 2 2 2") + "e 2 1\n", 7, "(2, 1)"),
+        ("p kpvc 3 3 2\nv 1 1\nv 2 2\nv 3 1\nb 1 1\nb 2 1\n"
+         "e 2 3\ne 1 2\nc between\ne 3 2\n", 10, "(3, 2)"),
+    ], ids=["same-order", "reversed", "apart"])
+    def test_repeated_edge_record(self, text, line, pair):
+        err = parse_err(text)
+        assert (err.kind, err.line, str(err)) == (
+            "DuplicateRecord", line,
+            f"line {line}: DuplicateRecord: edge {pair} given twice")
 
     def test_duplicate_p_line(self):
         err = parse_err(MINIMAL + "p kpvc 2 1 2\n")
@@ -391,6 +423,22 @@ class TestEmitResult:
                         Budgets(limits))
         with pytest.raises(InstanceInvalidError):
             solve(inst, algo)
+
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_validates_once(self, algo, monkeypatch):
+        calls = []
+
+        def counting(inst):
+            calls.append(inst)
+            return validate_instance(inst)
+
+        # every module that bound the name at import, so no call goes uncounted
+        for name, module in list(sys.modules.items()):
+            if name.startswith("kpcover.") and hasattr(module, "validate_instance"):
+                monkeypatch.setattr(module, "validate_instance", counting)
+        inst = self.inst()
+        solve(inst, algo)
+        assert calls == [inst]
 
     def test_unknown_algo(self):
         with pytest.raises(ValueError):
