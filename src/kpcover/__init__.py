@@ -10,12 +10,10 @@ and a benchmark harness.
 
 from .approx import matching_vertex_cover, two_approx_vc
 from .bench import BenchConfig, BenchRecord, loglog_slope, run_bench, write_csv
-from .errors import (InstanceInvalidError, InstanceTooLargeError,
-                     KOutOfRangeError, KPCoverError, NotACliqueError,
-                     NotACoverError, ParseError, SelfLoopError,
-                     SpecInvalidError, VertexOutOfRangeError)
-from .exact import (ExactResult, enumerate_min_cvck, exact_cvck,
-                    exact_max_clique, exact_min_vc)
+from .errors import (InstanceInvalidError, KOutOfRangeError, KPCoverError,
+                     NotACliqueError, NotACoverError, ParseError,
+                     SelfLoopError, SpecInvalidError, VertexOutOfRangeError)
+from .exact import ExactResult, exact_cvck, exact_max_clique, exact_min_vc
 from .generate import (GenSpec, SplitMix64, derive_budgets,
                        gen_complete_kpartite, gen_kpartite, gen_tree,
                        parse_budget_mode)
@@ -35,15 +33,14 @@ __version__ = "0.1.0"
 __all__ = [
     "ALGOS", "Budgets", "BenchConfig", "BenchRecord",
     "CoverResult", "ExactResult", "GenSpec", "Graph", "HeuristicState",
-    "Instance", "InstanceInvalidError", "InstanceTooLargeError",
-    "KOutOfRangeError", "KPCoverError", "KPartition", "NotACliqueError",
-    "NotACoverError", "ParseError", "ReductionOutput", "SelfLoopError",
-    "SpecInvalidError", "SplitMix64", "ValidationReport",
-    "VertexOutOfRangeError",
+    "Instance", "InstanceInvalidError", "KOutOfRangeError", "KPCoverError",
+    "KPartition", "NotACliqueError", "NotACoverError", "ParseError",
+    "ReductionOutput", "SelfLoopError", "SpecInvalidError", "SplitMix64",
+    "ValidationReport", "VertexOutOfRangeError",
     "build_graph", "clique_cert_to_cover", "complement",
-    "cover_cert_to_clique", "derive_budgets",
-    "enumerate_min_cvck", "exact_cvck", "exact_max_clique",
-    "exact_min_vc", "extract_max", "gen_complete_kpartite", "gen_kpartite",
+    "cover_cert_to_clique", "derive_budgets", "exact_cvck",
+    "exact_max_clique", "exact_min_vc", "extract_max",
+    "gen_complete_kpartite", "gen_kpartite",
     "gen_tree", "greedy_partition", "is_clique", "is_vertex_cover",
     "loglog_slope", "make_decision", "make_partition", "matching_vertex_cover",
     "parse_budget_mode", "parse_instance", "per_part_usage",

@@ -23,10 +23,6 @@ class InstanceInvalidError(KPCoverError):
         self.report = report
 
 
-class InstanceTooLargeError(KPCoverError):
-    """Instance exceeds the exhaustive-enumeration limit."""
-
-
 class KOutOfRangeError(KPCoverError):
     """Requested clique size outside 0..n."""
 

@@ -14,15 +14,12 @@ returned, so results are reproducible byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .errors import InstanceInvalidError, InstanceTooLargeError
+from .errors import InstanceInvalidError
 from .graph import Graph, Instance, validate_instance
 
 FEASIBLE = "Feasible"
 INFEASIBLE = "Infeasible"
-
-EXHAUSTIVE_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -155,40 +152,3 @@ def exact_max_clique(g: Graph) -> frozenset[int]:
             best = tuple(current)
         stack.append(([w for w in cands[i + 1:] if w in adj[v]], 0))
     return frozenset(best)
-
-
-def enumerate_min_cvck(inst: Instance) -> set[frozenset[int]]:
-    """All minimum-size budget-respecting covers, by exhaustive enumeration.
-
-    Independent check route for exact_cvck; subsets are tried in ascending
-    size with bitmask edge tests, so the first populated size is the optimum.
-    Empty result means Infeasible.
-    """
-    report = validate_instance(inst)
-    if not report.ok:
-        raise InstanceInvalidError(report)
-    n = inst.graph.n
-    if n > EXHAUSTIVE_LIMIT:
-        raise InstanceTooLargeError(f"n={n} exceeds exhaustive limit {EXHAUSTIVE_LIMIT}")
-    emasks = [(1 << (u - 1)) | (1 << (v - 1)) for u, v in inst.graph.sorted_edges()]
-    k = inst.partition.k
-    part_masks = [0] * (k + 1)
-    for v in range(1, n + 1):
-        part_masks[inst.partition.part_of[v]] |= 1 << (v - 1)
-    limits = inst.budgets.limits
-
-    for size in range(n + 1):
-        found: set[frozenset[int]] = set()
-        for combo in combinations(range(1, n + 1), size):
-            mask = 0
-            for v in combo:
-                mask |= 1 << (v - 1)
-            if not all(mask & em for em in emasks):
-                continue
-            if any((mask & part_masks[p]).bit_count() > limits[p - 1]
-                   for p in range(1, k + 1)):
-                continue
-            found.add(frozenset(combo))
-        if found:
-            return found
-    return set()

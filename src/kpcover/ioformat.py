@@ -36,7 +36,6 @@ def parse_instance(text: str) -> Instance:
     v_records: dict[int, int] = {}
     b_records: dict[int, int] = {}
     e_pairs: list[tuple[int, int]] = []
-    e_lines: list[int] = []
 
     for lineno, line in enumerate(_LINE.finditer(text), 1):
         kind, x, y, raw = line.groups()
@@ -75,7 +74,6 @@ def parse_instance(text: str) -> Instance:
             if not (0 < x <= n and 0 < y <= n):
                 raise ParseError(lineno, "Syntax", f"edge ({x}, {y}) outside 1..{n}")
             e_pairs.append((x, y))
-            e_lines.append(lineno)
         elif kind == "v":
             if not (0 < x <= n):
                 raise ParseError(lineno, "Syntax", f"vertex {x} outside 1..{n}")
@@ -114,7 +112,7 @@ def parse_instance(text: str) -> Instance:
         part_of[v] = p
     for i, (u, v) in enumerate(e_pairs):
         if part_of[u] == part_of[v]:
-            raise ParseError(e_lines[i], "IntraPartEdge",
+            raise ParseError(_e_line(text, i), "IntraPartEdge",
                              f"edge ({u}, {v}) inside part {part_of[u]}")
 
     graph = build_graph(n, e_pairs)
@@ -123,7 +121,8 @@ def parse_instance(text: str) -> Instance:
         for i, (u, v) in enumerate(e_pairs):
             pair = (u, v) if u < v else (v, u)
             if pair in seen:
-                raise ParseError(e_lines[i], "DuplicateRecord", f"edge ({u}, {v}) given twice")
+                raise ParseError(_e_line(text, i), "DuplicateRecord",
+                                 f"edge ({u}, {v}) given twice")
             seen.add(pair)
     return Instance(graph=graph,
                     partition=make_partition(k, part_of[1:]),
@@ -136,6 +135,18 @@ def parse_instance(text: str) -> Instance:
 # a record nor shift the line numbers after it.
 _LINE = re.compile(r"(?:([vbe]) ([0-9]{1,18}) ([0-9]{1,18})|(.*))(?:\n|\Z)")
 _RECORDS = {"v": "v <vertex> <part>", "b": "b <part> <budget>", "e": "e <u> <v>"}
+
+
+def _e_line(text: str, i: int) -> int:
+    """Line of the i-th e record (from 0), found again only for an error:
+    the loop read every plain e match and raw line led by token e as one."""
+    for lineno, line in enumerate(_LINE.finditer(text), 1):
+        kind, _, _, raw = line.groups()
+        if kind == "e" or kind is None and raw.split()[:1] == ["e"]:
+            if i == 0:
+                return lineno
+            i -= 1
+    raise AssertionError("fewer e records than edges read")
 
 
 def serialize_instance(inst: Instance) -> str:

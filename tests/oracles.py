@@ -47,6 +47,16 @@ def brute_min_cvck(n, edges, part_of, limits):
     return None, set()
 
 
+def brute_optima(inst):
+    """brute_min_cvck's set of optimal covers (empty if none) for an instance.
+
+    Reads only the instance's plain fields: n, the edge pairs, each vertex's
+    part and the budgets.
+    """
+    return brute_min_cvck(inst.graph.n, inst.graph.sorted_edges(),
+                          inst.partition.part_of, inst.budgets.limits)[1]
+
+
 def brute_max_clique_size(n, edges) -> int:
     best = 0
     for size in range(n, -1, -1):

@@ -12,15 +12,15 @@ from itertools import combinations
 
 from kpcover import (Budgets, GenSpec, Instance, SplitMix64, build_graph,
                      clique_cert_to_cover, complement, cover_cert_to_clique,
-                     enumerate_min_cvck, exact_cvck, exact_max_clique,
-                     exact_min_vc, gen_complete_kpartite, gen_kpartite,
-                     gen_tree, is_clique, is_vertex_cover, loglog_slope,
+                     exact_cvck, exact_max_clique, exact_min_vc,
+                     gen_complete_kpartite, gen_kpartite, gen_tree,
+                     is_clique, is_vertex_cover, loglog_slope,
                      make_partition, matching_vertex_cover, parse_instance,
                      respects_budgets, serialize_instance, solve_cvck)
 from kpcover.cli import main
 from kpcover.generate import even_part_sizes
 
-from oracles import all_graphs
+from oracles import all_graphs, brute_optima
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -83,7 +83,7 @@ def test_criterion_2_oracle_equivalence():
     for _ in range(trials):
         inst = mixed_instance(rng, max_n=12)
         res = exact_cvck(inst)
-        optima = enumerate_min_cvck(inst)
+        optima = brute_optima(inst)
         if res.feasible:
             ok = (optima and res.size == len(next(iter(optima)))
                   and res.cover in optima)
@@ -96,7 +96,7 @@ def test_criterion_2_oracle_equivalence():
         inst = Instance(build_graph(4, edges), make_partition(4, [1, 2, 3, 4]),
                         Budgets(tuple(rng.next_below(3) for _ in range(4))))
         res = exact_cvck(inst)
-        optima = enumerate_min_cvck(inst)
+        optima = brute_optima(inst)
         agree = ((res.cover in optima and res.size == len(next(iter(optima))))
                  if res.feasible else optima == set())
         mismatches += 0 if agree else 1

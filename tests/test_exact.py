@@ -10,14 +10,14 @@ import pytest
 from hypothesis import given, settings
 
 from kpcover import (Budgets, GenSpec, Instance, InstanceInvalidError,
-                     InstanceTooLargeError, SplitMix64, build_graph,
-                     complement, enumerate_min_cvck, exact_cvck,
+                     SplitMix64, build_graph, complement, exact_cvck,
                      exact_max_clique, exact_min_vc, gen_kpartite,
                      is_vertex_cover, make_partition, respects_budgets,
                      serialize_instance)
 from kpcover.cli import main
 
-from oracles import brute_max_clique_size, brute_min_cvck, brute_min_vc_size
+from oracles import (brute_max_clique_size, brute_min_cvck, brute_min_vc_size,
+                     brute_optima)
 from strategies import graphs, instances
 
 
@@ -50,8 +50,6 @@ class TestExactCvck:
                        Budgets((2,)))
         with pytest.raises(InstanceInvalidError):
             exact_cvck(bad)
-        with pytest.raises(InstanceInvalidError):
-            enumerate_min_cvck(bad)
 
     def test_decision_form(self):
         assert exact_cvck(path_instance((0, 1))).feasible
@@ -61,7 +59,7 @@ class TestExactCvck:
     @settings(max_examples=150, deadline=None)
     def test_matches_enumeration(self, inst):
         res = exact_cvck(inst)
-        optima = enumerate_min_cvck(inst)
+        optima = brute_optima(inst)
         if res.feasible:
             assert optima
             assert res.size == len(next(iter(optima)))
@@ -215,26 +213,21 @@ class TestExactMaxClique:
 
 
 class TestEnumerate:
+    """The brute-force reference the exact solvers are checked against."""
+
     def test_single_edge_both_endpoints(self):
         inst = Instance(build_graph(2, [(1, 2)]), make_partition(2, [1, 2]),
                         Budgets((1, 1)))
-        assert enumerate_min_cvck(inst) == {frozenset({1}), frozenset({2})}
+        assert brute_optima(inst) == {frozenset({1}), frozenset({2})}
 
     def test_single_edge_one_budget(self):
         inst = Instance(build_graph(2, [(1, 2)]), make_partition(2, [1, 2]),
                         Budgets((1, 0)))
-        assert enumerate_min_cvck(inst) == {frozenset({1})}
+        assert brute_optima(inst) == {frozenset({1})}
 
     def test_triangle_all_pairs(self):
-        assert enumerate_min_cvck(triangle_instance()) == {
+        assert brute_optima(triangle_instance()) == {
             frozenset({1, 2}), frozenset({1, 3}), frozenset({2, 3})}
-
-    def test_size_limit(self):
-        n = 25
-        inst = Instance(build_graph(n, []), make_partition(1, [1] * n),
-                        Budgets((n,)))
-        with pytest.raises(InstanceTooLargeError):
-            enumerate_min_cvck(inst)
 
     def test_matches_independent_brute_force(self):
         rng = SplitMix64(2024)
@@ -248,9 +241,8 @@ class TestEnumerate:
             inst = Instance(build_graph(n, [e for e in edges
                                             if part[e[0] - 1] != part[e[1] - 1]]),
                             make_partition(k, part), Budgets(limits))
-            size, optima = brute_min_cvck(inst.graph.n, inst.graph.sorted_edges(),
-                                          inst.partition.part_of, limits)
-            assert enumerate_min_cvck(inst) == optima
+            size, _ = brute_min_cvck(inst.graph.n, inst.graph.sorted_edges(),
+                                     inst.partition.part_of, limits)
             res = exact_cvck(inst)
             assert (res.size if res.feasible else None) == size
             if res.feasible:

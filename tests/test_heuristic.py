@@ -17,13 +17,14 @@ import pytest
 from hypothesis import given, settings
 
 from kpcover import (Budgets, GenSpec, Instance, InstanceInvalidError,
-                     SplitMix64, build_graph, enumerate_min_cvck, exact_cvck,
-                     extract_max, gen_kpartite, is_vertex_cover, make_decision,
+                     SplitMix64, build_graph, exact_cvck, extract_max,
+                     gen_kpartite, is_vertex_cover, make_decision,
                      make_partition, per_part_usage, respects_budgets,
                      solve_cvck)
 from kpcover import heuristic
 from kpcover.heuristic import NOT_SELECTED, NOT_USED, HeuristicState
 
+from oracles import brute_optima
 from strategies import instances
 
 
@@ -250,7 +251,7 @@ class TestSolve:
                         make_partition(3, [1, 2, 3]), Budgets((1, 1, 1)))
         res = solve_cvck(inst)
         assert res.success and res.size == 2
-        assert res.cover in enumerate_min_cvck(inst)
+        assert res.cover in brute_optima(inst)
         assert res.op_count == 13
 
     def test_edgeless_costs_one_scan(self):

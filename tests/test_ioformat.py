@@ -50,10 +50,6 @@ class TestParse:
         err = parse_err("p kpvc 2 1 2\nv 1 1\nv 2 2\nb 1 1\nb 2 1\ne 1 1\n")
         assert err.line == 6 and "self-loop" in str(err)
 
-    def test_missing_p_line(self):
-        err = parse_err("v 1 1\n")
-        assert err.kind == "Syntax"
-
     @pytest.mark.parametrize("text", ["", "c only a comment\n\nc and another\n"],
                              ids=["empty", "comments-only"])
     def test_no_p_line_at_all(self, text):
@@ -112,6 +108,30 @@ class TestParse:
     def test_intra_part_edge_line_numbered(self):
         err = parse_err("p kpvc 2 1 1\nv 1 1\nv 2 1\nb 1 2\ne 1 2\n")
         assert err.kind == "IntraPartEdge" and err.line == 5
+
+    @pytest.mark.parametrize("edge_lines, index, kind, message", [
+        (["e 1 2", "e 1 3\r"], 1, "IntraPartEdge", "edge (1, 3) inside part 1"),
+        ([" e 1 3", "e 3 4"], 0, "IntraPartEdge", "edge (1, 3) inside part 1"),
+        (["c note", "e  1 2", "e\t3 4\r", "c e 1 3", "e 1 3"], 4,
+         "IntraPartEdge", "edge (1, 3) inside part 1"),
+        (["e 1 2", "e 2 1\r"], 1, "DuplicateRecord", "edge (2, 1) given twice"),
+        (["e 1 2", " e 2 1", "e 3 4"], 1, "DuplicateRecord", "edge (2, 1) given twice"),
+        (["c note", "e  1 2", "e\t3 4\r", "c e 2 1", "e 2 1"], 4,
+         "DuplicateRecord", "edge (2, 1) given twice"),
+        (["e 1 2", "e 2 1", "e 1 3"], 2, "IntraPartEdge", "edge (1, 3) inside part 1"),
+    ], ids=["intra-cr", "intra-space", "intra-after-token-shaped",
+            "repeat-cr", "repeat-space", "repeat-after-token-shaped",
+            "intra-part-wins-over-earlier-repeat"])
+    def test_post_loop_error_names_the_record_line(self, edge_lines, index, kind,
+                                                   message):
+        # parts {1, 3} and {2, 4}; the p line counts the lines led by token e
+        m = sum(line.split()[:1] == ["e"] for line in edge_lines)
+        err = parse_err("".join([f"p kpvc 4 {m} 2\n",
+                                 "v 1 1\nv 2 2\nv 3 1\nv 4 2\nb 1 2\nb 2 2\n",
+                                 *(line + "\n" for line in edge_lines)]))
+        line = 8 + index
+        assert (err.kind, err.line, str(err)) == (
+            kind, line, f"line {line}: {kind}: {message}")
 
     def test_unicode_line_separator_in_a_comment_is_comment_text(self):
         text = "c one\u2028more\n" + MINIMAL.replace("e 1 2", "e 1 1")
