@@ -1,4 +1,4 @@
-"""Digests of generated text, parser and solver output on 5,120 seeded instances.
+"""Digests of generated text, parser and solver output on seeded instances.
 
 For each instance it hashes serialize_instance's text into one digest,
 exact_cvck's (status, cover, size, nodes_explored) with exact_min_vc's cover
@@ -11,7 +11,10 @@ generate and serialize the same bytes; two whose exact digests match search
 in the same order, prune the same nodes and break ties the same way; two
 whose cvck digests match pick, veto and count operations the same way; two
 whose parse digests match accept and reject the same texts with the same
-errors. Run it against any checkout's sources:
+errors. A fifth digest, large, hashes serialize_instance's text for a few
+gen_kpartite specs with n in the hundreds, each making thousands of draws,
+at the extreme densities 5e-324 and 1 - 2**-53, with parts of unequal
+size and seeds at and beyond 2**63. Run it against any checkout's sources:
 
     PYTHONPATH=src python scripts/exact_digest.py
 
@@ -39,7 +42,14 @@ EXPECTED = {
     "exact": "28ec5b1c53d842c7eb70f4daa34b36fbe0b90ead11a06ec746408c15e8ded330",
     "cvck": "e759294e0352c6b83a91f3418a66625f3ca983e55399d4f517a0e26752b93224",
     "parse": "af501f7f8c33b531d94e0131ebbe6aa9c72a92039d7a4b2cdcf40b368a4be9d6",
+    "large": "635b54f16c61988668482def5838462e9da75e5d2137dcd1add0ad3b8d1a42d0",
 }
+LARGE_SPECS = (
+    GenSpec(n=200, k=4, density=0.5, seed=41),
+    GenSpec(n=302, k=7, density=1 - 2 ** -53, seed=2 ** 64 - 1),
+    GenSpec(n=150, k=4, density=5e-324, seed=-7, budget_mode="slack:0"),
+    GenSpec(n=123, k=5, density=0.1, seed=2 ** 63, budget_mode="fixed:9,9,9,9,9"),
+)
 EDITS = ("delete", "duplicate", "swap", "digit", "reverse", "zero", "space",
          "cr", "comment", "no-final-lf")
 
@@ -125,6 +135,8 @@ def main() -> int:
             heur.status, sorted(heur.cover), heur.per_part_usage,
             heur.op_count, heur.uncovered_edges)).encode())
         kinds[kind] += 1
+    for spec in LARGE_SPECS:
+        digests["large"].update(serialize_instance(gen_kpartite(spec)).encode())
     print(sum(kinds.values()), dict(sorted(kinds.items())),
           f"{time.perf_counter() - t0:.1f}s")
     failed = False

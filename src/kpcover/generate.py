@@ -10,6 +10,11 @@ byte-identical serialized instances on any platform. Normative draw order:
   visited in ascending order; each pair whose endpoints lie in different
   parts consumes exactly one draw and becomes an edge iff
   next_float() < density. Same-part pairs consume nothing.
+  This contract holds however the draws are computed. gen_kpartite
+  evaluates them in batches: SplitMix64's state after draw i (counting
+  from 1) is state_i = seed + i*gamma mod 2**64, gamma = 0x9E3779B97F4A7C15,
+  so each draw depends on i alone. The SplitMix64 class is the reference
+  the batched draws are tested against.
 * gen_tree: a tree on n >= 2 vertices is decoded from a sequence of n - 2
   labels, each drawn as 1 + next_below(n); the decode repeatedly joins the
   smallest degree-1 vertex to the next label. n <= 2 draws nothing.
@@ -28,7 +33,10 @@ Budget modes (canonical spelling, also used in files and CSV):
 from __future__ import annotations
 
 import heapq
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain, compress, repeat
 
 from .approx import two_approx_vc
 from .errors import SpecInvalidError
@@ -37,6 +45,18 @@ from .graph import (Budgets, Graph, Instance, KPartition, build_graph,
                     make_partition, per_part_usage)
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+# gen_kpartite's draws are evaluated _LANES at a time as 128-bit lanes of one
+# int: lane j holds a 64-bit value in its low half, and its high half takes
+# the carry of one 64 x 64-bit multiply, so no lane spills into the next.
+# _ONES has 1 in every lane, _LANE_MASK has 2**64 - 1, and _STEPS has
+# (j + 1) * gamma mod 2**64, the state increment of lane j within a batch.
+_LANES = 2048
+_ONES = int.from_bytes((b"\x01" + bytes(15)) * _LANES, "little")
+_LANE_MASK = int.from_bytes((b"\xff" * 8 + bytes(8)) * _LANES, "little")
+_STEPS = int.from_bytes(b"".join(((j + 1) * _GAMMA & _MASK64).to_bytes(16, "little")
+                                 for j in range(_LANES)), "little")
 
 
 class SplitMix64:
@@ -136,25 +156,52 @@ def gen_kpartite(spec: GenSpec) -> Instance:
         assign.extend([p] * size)
     partition = make_partition(spec.k, assign)
 
-    # SplitMix64(spec.seed).next_float() < density, inlined: next_float is
-    # (z >> 11) * 2**-53, and scaling both sides by 2**53 is exact, as is
-    # Python's int-to-float comparison. Parts are contiguous, so u's
-    # different-part partners are exactly end..n, where end starts the next part.
-    n, state, edges = spec.n, spec.seed & _MASK64, []
-    threshold = spec.density * 2.0 ** 53
+    # Parts are contiguous, so u's different-part partners are exactly
+    # end..n, where end starts the next part; compress consumes one hit
+    # flag per partner, in the documented draw order. The partners are
+    # sliced from one list of ids, so a missed pair allocates nothing.
+    n, edges, ids = spec.n, [], list(range(spec.n + 1))
+    draws = (n * n - sum(size * size for size in sizes)) // 2
+    hits = chain.from_iterable(_hit_flags(spec.seed, draws, spec.density))
     end = 1
     for size in sizes:
         start, end = end, end + size
+        partners = ids[end:]
         for u in range(start, end):
-            for v in range(end, n + 1):
-                state = (state + 0x9E3779B97F4A7C15) & _MASK64
-                z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-                if (z ^ (z >> 31)) >> 11 < threshold:
-                    edges.append((u, v))
+            edges.extend(zip(repeat(u), compress(partners, hits)))
     graph = build_graph(n, edges)
     return Instance(graph=graph, partition=partition,
                     budgets=derive_budgets(graph, partition, spec.budget_mode))
+
+
+def _hit_flags(seed: int, draws: int, density: float) -> Iterator[bytes]:
+    """Yield bytes of 0/1 flags, one per draw, that are 1 where
+    SplitMix64(seed).next_float() < density, for the first `draws` draws.
+
+    next_float() is (z >> 11) * 2**-53, and scaling by 2**53 is exact, so
+    the test is (z >> 11) < density * 2**53, that is z >> 11 < t with
+    t = ceil(density * 2**53), that is z < t << 11. Each lane holds
+    (t << 11) + 2**64 - 1 - z after one subtraction, which never borrows,
+    and its bit 64 is set exactly when z < t << 11.
+    """
+    state = seed & _MASK64
+    limit = (math.ceil(density * 2.0 ** 53) << 11) + _MASK64
+    ones, lane_mask, steps = _ONES, _LANE_MASK, _STEPS
+    limits = limit * ones if draws >= _LANES else 0
+    for done in range(0, draws, _LANES):
+        lanes = min(_LANES, draws - done)
+        if lanes < _LANES:  # the last batch: cut the constants to its lanes
+            cut = (1 << 128 * lanes) - 1
+            ones, lane_mask, steps = ones & cut, lane_mask & cut, steps & cut
+            limits = limit * ones
+        # z >> s pulls the next lane's low bits into this lane's high half,
+        # so each xor-shift is masked before the multiply
+        z = (state * ones + steps) & lane_mask
+        z = ((z ^ (z >> 30)) & lane_mask) * 0xBF58476D1CE4E5B9 & lane_mask
+        z = ((z ^ (z >> 27)) & lane_mask) * 0x94D049BB133111EB & lane_mask
+        z = (z ^ (z >> 31)) & lane_mask
+        yield (limits - z).to_bytes(16 * lanes, "little")[8::16]
+        state = (state + lanes * _GAMMA) & _MASK64
 
 
 def gen_tree(n: int, seed: int, budget_mode: str = "slack:1") -> Instance:

@@ -2,12 +2,40 @@
 
 from __future__ import annotations
 
+import math
+import tracemalloc
+
 import pytest
 
 from kpcover import (GenSpec, SpecInvalidError, SplitMix64, derive_budgets,
                      exact_cvck, exact_min_vc, gen_complete_kpartite,
                      gen_kpartite, gen_tree, parse_budget_mode,
                      per_part_usage, serialize_instance, validate_instance)
+from kpcover.generate import _LANES, even_part_sizes
+
+
+def inter_part_pairs(n: int, k: int) -> int:
+    return (n * n - sum(size * size for size in even_part_sizes(n, k))) // 2
+
+
+def _unxorshift(y: int, shift: int) -> int:
+    x = y
+    for _ in range(64 // shift):
+        x = y ^ (x >> shift)
+    return x
+
+
+def seed_drawing(z: int, i: int) -> int:
+    """A seed whose SplitMix64 stream outputs z at draw i (counting from 0),
+    found by inverting the finalizer."""
+    m = 2 ** 64
+    x = _unxorshift(z, 31) * pow(0x94D049BB133111EB, -1, m) % m
+    x = _unxorshift(x, 27) * pow(0xBF58476D1CE4E5B9, -1, m) % m
+    seed = (_unxorshift(x, 30) - (i + 1) * 0x9E3779B97F4A7C15) % m
+    rng = SplitMix64(seed)
+    draws = [rng.next_u64() for _ in range(i + 1)]
+    assert draws[i] == z
+    return seed
 
 
 class TestSplitMix64:
@@ -95,8 +123,26 @@ class TestGenKPartite:
     @pytest.mark.parametrize("density", [0.0, 5e-324, 0.1, 0.5, 1 - 2 ** -53, 1.0])
     def test_draws_match_the_reference_stream(self, density):
         # the documented draw order, spelled out with the SplitMix64 class
-        for n, k in ((1, 1), (7, 1), (6, 6), (11, 3), (14, 4), (9, 2)):
-            for seed in (0, 1, 42, 2 ** 64 - 1, -7):
+        small = [((n, k), (0, 1, 42, 2 ** 64 - 1, -7))
+                 for n, k in ((1, 1), (7, 1), (6, 6), (11, 3), (14, 4), (9, 2))]
+        # gen_kpartite draws _LANES pairs per batch. These specs end a batch
+        # exactly, one draw past it, one short of the second, and past the
+        # third; their parts are uneven. No even split has _LANES - 1 pairs.
+        batched = [((65, 33), _LANES), ((66, 17), _LANES + 1),
+                   ((92, 31), 2 * _LANES - 1), ((112, 51), 3 * _LANES + 1)]
+        for (n, k), pairs in batched:
+            assert inter_part_pairs(n, k) == pairs and n % k
+        seeds = (0, 2 ** 63, 2 ** 64 - 1, 2 ** 64 + 5, -7, -2 ** 70)
+        # draws on either side of the edge threshold, at a batch's first and
+        # last lanes: next_float() < density iff the draw is below `limit`
+        limit = math.ceil(density * 2 ** 53) << 11
+        crafted = tuple(seed_drawing(z, i)
+                        for z in {0, limit - 1, limit, 2 ** 64 - 1} if 0 <= z < 2 ** 64
+                        for i in (0, 1, _LANES - 1, _LANES, 2 * _LANES - 2))
+        cases = (small + [(spec, seeds) for spec, _ in batched]
+                 + [((92, 31), crafted), ((200, 4), (41,))])
+        for (n, k), spec_seeds in cases:
+            for seed in spec_seeds:
                 inst = gen_kpartite(GenSpec(n=n, k=k, density=density, seed=seed))
                 part_of = inst.partition.part_of
                 rng = SplitMix64(seed)
@@ -105,6 +151,20 @@ class TestGenKPartite:
                             for v in range(u + 1, n + 1)
                             if part_of[u] != part_of[v] and rng.next_float() < density]
                 assert list(inst.graph.sorted_edges()) == expected, (n, k, seed)
+
+    def test_draws_stream_in_memory_independent_of_pair_count(self):
+        # 1,000,000 inter-part pairs and no edges: the draws must not be held
+        # all at once, so the peak stays under one byte per pair
+        spec = GenSpec(n=2000, k=2, density=0.0, seed=3)
+        assert inter_part_pairs(spec.n, spec.k) == 1_000_000
+        tracemalloc.start()
+        try:
+            inst = gen_kpartite(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert inst.graph.m == 0
+        assert peak < 1_000_000, peak
 
     def test_spec_validation(self):
         with pytest.raises(SpecInvalidError):
