@@ -274,7 +274,7 @@ class _PlainCounter:
             yield match
 
 
-class TestLineShapes:
+class TestEdgeRun:
     """Plain records, such as the run of e records canonical text ends with,
     read from the match groups, against the same text read line by line
     from tokens alone: _LINE with its plain alternative never matching."""
