@@ -14,7 +14,9 @@ whose parse digests match accept and reject the same texts with the same
 errors. A fifth digest, large, hashes serialize_instance's text for a few
 gen_kpartite specs with n in the hundreds, each making thousands of draws,
 at the extreme densities 5e-324 and 1 - 2**-53, with parts of unequal
-size and seeds at and beyond 2**63. Run it against any checkout's sources:
+size and seeds at and beyond 2**63. A sixth, cvck-large, hashes solve_cvck's
+outcome, as in cvck, on those instances and on one more n = 200 instance
+under slack:0 budgets. Run it against any checkout's sources:
 
     PYTHONPATH=src python scripts/exact_digest.py
 
@@ -43,12 +45,16 @@ EXPECTED = {
     "cvck": "e759294e0352c6b83a91f3418a66625f3ca983e55399d4f517a0e26752b93224",
     "parse": "af501f7f8c33b531d94e0131ebbe6aa9c72a92039d7a4b2cdcf40b368a4be9d6",
     "large": "635b54f16c61988668482def5838462e9da75e5d2137dcd1add0ad3b8d1a42d0",
+    "cvck-large": "f0088dba1737a3e5f94a08fcf665f3f3e4a6481b22875a015b990b481d58d7a5",
 }
 LARGE_SPECS = (
     GenSpec(n=200, k=4, density=0.5, seed=41),
     GenSpec(n=302, k=7, density=1 - 2 ** -53, seed=2 ** 64 - 1),
     GenSpec(n=150, k=4, density=5e-324, seed=-7, budget_mode="slack:0"),
     GenSpec(n=123, k=5, density=0.1, seed=2 ** 63, budget_mode="fixed:9,9,9,9,9"),
+)
+CVCK_LARGE_SPECS = LARGE_SPECS + (
+    GenSpec(n=200, k=4, density=0.5, seed=41, budget_mode="slack:0"),
 )
 EDITS = ("delete", "duplicate", "swap", "digit", "reverse", "zero", "space",
          "cr", "comment", "no-final-lf")
@@ -116,6 +122,12 @@ def parse_outcome(text: str) -> tuple:
         return (err.kind, err.line, str(err))
 
 
+def cvck_outcome(inst) -> bytes:
+    heur = solve_cvck(inst)
+    return repr((heur.status, sorted(heur.cover), heur.per_part_usage,
+                 heur.op_count, heur.uncovered_edges)).encode()
+
+
 def main() -> int:
     digests = {name: hashlib.sha256() for name in EXPECTED}
     kinds: Counter[str] = Counter()
@@ -130,13 +142,12 @@ def main() -> int:
         digests["exact"].update(repr((
             res.status, cover, res.size, res.nodes_explored,
             sorted(exact_min_vc(inst.graph)))).encode())
-        heur = solve_cvck(inst)
-        digests["cvck"].update(repr((
-            heur.status, sorted(heur.cover), heur.per_part_usage,
-            heur.op_count, heur.uncovered_edges)).encode())
+        digests["cvck"].update(cvck_outcome(inst))
         kinds[kind] += 1
     for spec in LARGE_SPECS:
         digests["large"].update(serialize_instance(gen_kpartite(spec)).encode())
+    for spec in CVCK_LARGE_SPECS:
+        digests["cvck-large"].update(cvck_outcome(gen_kpartite(spec)))
     print(sum(kinds.values()), dict(sorted(kinds.items())),
           f"{time.perf_counter() - t0:.1f}s")
     failed = False
@@ -144,7 +155,7 @@ def main() -> int:
         got = digest.hexdigest()
         ok = got == EXPECTED[name]
         failed |= not ok
-        print(f"{name:5s} {got} {'ok' if ok else 'MISMATCH, pinned ' + EXPECTED[name]}")
+        print(f"{name:10s} {got} {'ok' if ok else 'MISMATCH, pinned ' + EXPECTED[name]}")
     return 1 if failed else 0
 
 

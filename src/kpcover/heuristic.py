@@ -11,13 +11,20 @@ covered greedily within the residual part budgets; if not, the selection is
 undone, the stashed edges are restored bit for bit, and the vertex is retired
 NOT_SELECTED.
 
+The NOT_USED vertices are kept twice over, as an ascending list `open` and one
+ascending list per part, `open_in_part[p]`; a vertex leaves both once, on its
+one retirement from NOT_USED. extract_max reads live degrees over `open`
+only, and the lookahead reads each part's candidates from `open_in_part`.
+
 The lookahead batches its picks by part. Every part is an independent set
 (validate_instance rejects intra-part edges), so a pick never changes how
 many unvisited edges another member of its own part touches. make_decision
-therefore counts each part's candidates once per call, one popcount of a
-live-neighbour bitmask per NOT_USED vertex plus one sort per part, instead of
-rescanning the part and walking the pick's edges after every pick. The picks,
-the verdict and op_count are the same either way.
+therefore counts each part's candidates once per call: the first part it
+ranks reads live_degree, later parts take one popcount of a live-neighbour
+bitmask per NOT_USED member. A part whose positive members all fit in its
+residual budget needs no sort at all; only a part that must be truncated is
+ranked. The picks, the verdict and op_count are the same as rescanning the
+part and walking the pick's edges after every pick.
 
 The heuristic can paint itself into a corner; that surfaces as a
 HeuristicFailure result carrying the uncovered edges, never as
@@ -31,7 +38,9 @@ Operation counter semantics (reset per solve, deterministic):
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress
 from operator import itemgetter
 
 from .errors import InstanceInvalidError
@@ -69,14 +78,18 @@ class HeuristicState:
     live_mask[v] is set while edge (u, v) is still present, live_degree[v]
     counts those bits and live_count the live edges. state[v] holds the
     tri-state label, b[p] the selected count of part p, stash the neighbours
-    whose edges to the current tentative selection it removed.
+    whose edges to the current tentative selection it removed. open lists the
+    NOT_USED vertices in ascending order and open_in_part[p] those of part p;
+    retire is the only way out of NOT_USED, and it updates both.
     """
 
     def __init__(self, inst: Instance):
         g = inst.graph
         self.n = g.n
         self.adjacency = g.adjacency
-        self.live_mask = [sum(1 << u for u in nbrs) for nbrs in g.adjacency]
+        self.bits = bits = [1 << v for v in range(self.n + 1)]
+        self.full = (bits[self.n] << 1) - 1  # every vertex bit, kept positive
+        self.live_mask = [sum(map(bits.__getitem__, nbrs)) for nbrs in g.adjacency]
         self.live_degree = [len(nbrs) for nbrs in g.adjacency]
         self.live_count = g.m
         self.state = [NOT_USED] * (self.n + 1)
@@ -86,12 +99,21 @@ class HeuristicState:
         self.b = [0] * (self.k + 1)
         self.part_vertices = [sorted(inst.partition.parts[p]) if p else []
                               for p in range(self.k + 1)]
+        self.open = list(range(1, self.n + 1))
+        self.open_in_part = [list(members) for members in self.part_vertices]
         self.stash: list[int] = []
         self.op_count = 0
 
+    def retire(self, v: int, label: int) -> None:
+        """Label NOT_USED vertex v and drop it from the open lists."""
+        self.state[v] = label
+        members = self.open_in_part[self.part_of[v]]
+        del members[bisect_left(members, v)]
+        del self.open[bisect_left(self.open, v)]
+
     def tentative_select(self, v: int) -> None:
         """Mark v selected, stash and remove its live edges."""
-        self.state[v] = SELECTED
+        self.retire(v, SELECTED)
         self.b[self.part_of[v]] += 1
         bit = 1 << v
         mask, deg = self.live_mask, self.live_degree
@@ -105,7 +127,10 @@ class HeuristicState:
         self.stash = stash
 
     def undo_tentative(self, v: int) -> None:
-        """Retire v as not-selected and restore the stashed edges exactly."""
+        """Retire v as not-selected and restore the stashed edges exactly.
+
+        v left the open lists when it was selected, so they stay as they are.
+        """
         self.state[v] = NOT_SELECTED
         self.b[self.part_of[v]] -= 1
         bit = 1 << v
@@ -121,17 +146,17 @@ class HeuristicState:
 
 
 def extract_max(state: HeuristicState) -> int | None:
-    """NOT_USED vertex of maximum live degree >= 1; ties to the lowest id."""
+    """NOT_USED vertex of maximum live degree >= 1; ties to the lowest id.
+
+    Reads only the open list, but still counts n operations per call.
+    """
     state.op_count += state.n
-    best = None
-    best_deg = 0
-    vstate = state.state
+    if not state.open:
+        return None
     deg = state.live_degree
-    for v in range(1, state.n + 1):
-        if vstate[v] == NOT_USED and deg[v] > best_deg:
-            best_deg = deg[v]
-            best = v
-    return best
+    # max keeps the first of equal keys, and open is ascending: lowest id
+    v = max(state.open, key=deg.__getitem__)
+    return v if deg[v] else None
 
 
 def make_decision(state: HeuristicState) -> bool:
@@ -146,36 +171,56 @@ def make_decision(state: HeuristicState) -> bool:
 
     A part is an independent set (validate_instance rejects intra-part
     edges), so a pick never changes the unvisited degree of another member of
-    its own part. Each part's degrees are therefore counted once, as
-    popcount(live_mask[v] & ~picked) over the picks of earlier parts, and the
-    picks are those members in descending count order: the same picks, in the
-    same order, as re-scanning after every pick. Cost per call: one popcount
-    per NOT_USED vertex plus one sort per part with residual budget.
+    its own part. Each part's counts are therefore taken once, over
+    open_in_part[p]: live_degree while nothing is picked yet, otherwise
+    popcount(live_mask[v] & unpicked) with unpicked the complement of the
+    earlier parts' picks. The picks are the members in descending count
+    order, the same picks in the same order as re-scanning after every pick.
+
+    No edge joins two members of a part, so the counts of a part sum to the
+    number of unvisited edges it touches, at most `remaining`. The running
+    remainder can thus reach 0 only at the part's last positive pick, and
+    the order of the picks within a part cannot change the verdict or
+    op_count. So when the part's positive members all fit in its residual,
+    they are all picked at once with no sort; only a truncated part is
+    ranked, by a stable descending sort over its members in ascending id.
+    Cost per call: one count per open member of each part with residual
+    budget, plus one sort per truncated part.
     """
     if state.live_count == 0:
         return True
     remaining = state.live_count
     picked = 0  # bitmask of this call's picks
-    mask, vstate, limits, b = state.live_mask, state.state, state.limits, state.b
+    mask, deg, bits = state.live_mask, state.live_degree, state.bits
+    limits, b = state.limits, state.b
     order = sorted(range(1, state.k + 1), key=lambda p: (-(limits[p - 1] - b[p]), p))
     for p in order:
         residual = limits[p - 1] - b[p]
         if residual <= 0:
             break  # every later part has no residual either
-        unpicked = ~picked
-        # members come in ascending id and the sort is stable, so equal
-        # counts keep the lowest id first
-        ranked = sorted([((mask[v] & unpicked).bit_count(), v)
-                         for v in state.part_vertices[p] if vstate[v] == NOT_USED],
-                        key=itemgetter(0), reverse=True)
-        for count, v in ranked[:residual]:
-            if count == 0:
-                break
-            state.op_count += 1
-            remaining -= count
+        members = state.open_in_part[p]
+        if picked:
+            unpicked = state.full ^ picked
+            counts = [(mask[v] & unpicked).bit_count() for v in members]
+        else:
+            counts = list(map(deg.__getitem__, members))
+        positive = len(counts) - counts.count(0)
+        if positive <= residual:
+            state.op_count += positive
+            remaining -= sum(counts)
             if remaining == 0:
                 return True
-            picked |= 1 << v
+            picked |= sum(compress(map(bits.__getitem__, members), counts))
+        else:
+            # members come in ascending id and the sort is stable, so equal
+            # counts keep the lowest id first
+            ranked = sorted(zip(counts, members), key=itemgetter(0), reverse=True)
+            state.op_count += residual
+            for count, v in ranked[:residual]:
+                remaining -= count
+                picked |= bits[v]
+            if remaining == 0:
+                return True
     return False
 
 
@@ -197,7 +242,7 @@ def solve_cvck(inst: Instance) -> CoverResult:
             break
         p = state.part_of[v]
         if state.b[p] + 1 > state.limits[p - 1]:
-            state.state[v] = NOT_SELECTED  # edges stay live for neighbors
+            state.retire(v, NOT_SELECTED)  # edges stay live for neighbors
             continue
         state.tentative_select(v)
         if not make_decision(state):

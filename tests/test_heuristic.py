@@ -8,10 +8,13 @@ being asserted here.
 reference_make_decision is the per-pick form of the lookahead: it re-scans
 the part for the best vertex after every pick and walks the pick's incident
 edges. make_decision counts each part once instead; the tests hold the two to
-the same verdict and the same op_count on every call.
+the same verdict and the same op_count on every call, and check that the
+state's open lists hold exactly the NOT_USED vertices after every step.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -28,8 +31,14 @@ from oracles import brute_optima
 from strategies import instances
 
 
-def reference_make_decision(state: HeuristicState) -> bool:
-    """Per-pick greedy lookahead: re-scan the part after every pick."""
+def reference_make_decision(state: HeuristicState,
+                            passes: Counter | None = None) -> bool:
+    """Per-pick greedy lookahead: re-scan the part after every pick.
+
+    passes, if given, counts the part passes with residual budget whose
+    positive members all fit ("fits") or outnumber it ("truncated"), and the
+    True verdicts reached after the first part ("true after first part").
+    """
     if state.live_count == 0:
         return True
     remaining = state.live_count
@@ -38,9 +47,12 @@ def reference_make_decision(state: HeuristicState) -> bool:
     vstate = state.state
     order = sorted(range(1, state.k + 1),
                    key=lambda p: (-(state.limits[p - 1] - state.b[p]), p))
-    for p in order:
+    for i, p in enumerate(order):
         residual = state.limits[p - 1] - state.b[p]
         members = state.part_vertices[p]
+        if passes is not None and residual > 0:
+            positive = sum(vstate[v] == NOT_USED and ud[v] > 0 for v in members)
+            passes["fits" if positive <= residual else "truncated"] += 1
         picks = 0
         while picks < residual:
             best = None
@@ -62,14 +74,17 @@ def reference_make_decision(state: HeuristicState) -> bool:
                         ud[other] -= 1
             ud[best] = 0
             if remaining == 0:
+                if passes is not None and i:
+                    passes["true after first part"] += 1
                 return True
     return remaining == 0
 
 
-def decide_both(state: HeuristicState) -> tuple[bool, int]:
+def decide_both(state: HeuristicState,
+                passes: Counter | None = None) -> tuple[bool, int]:
     """make_decision's verdict and op_count delta, checked against the reference."""
     before = state.op_count
-    expected = reference_make_decision(state)
+    expected = reference_make_decision(state, passes)
     expected_ops = state.op_count - before
     state.op_count = before
     verdict = make_decision(state)
@@ -95,6 +110,56 @@ def lookahead_instances():
     for seed, mode in ((1, "slack:1"), (2, "slack:0"), (3, "fixed:30,30,30,30")):
         yield gen_kpartite(GenSpec(n=200, k=4, density=0.5, seed=seed,
                                    budget_mode=mode))
+
+
+def assert_open_lists(state: HeuristicState) -> None:
+    """open and open_in_part hold exactly the NOT_USED vertices, ascending."""
+    def not_used(vertices):
+        return [v for v in vertices if state.state[v] == NOT_USED]
+    assert state.open == not_used(range(1, state.n + 1))
+    assert state.open_in_part == [not_used(members)
+                                  for members in state.part_vertices]
+
+
+@pytest.fixture(scope="module")
+def checked_solves() -> Counter:
+    """Solve every lookahead instance with each step checked; count events.
+
+    Every make_decision call is held to the reference, and the open lists
+    are checked after every tentative_select and undo_tentative and on entry
+    to every extract_max, which follows each budget-full skip.
+    """
+    events: Counter = Counter()
+    select, undo = HeuristicState.tentative_select, HeuristicState.undo_tentative
+
+    def checked_decision(state):
+        events["decisions"] += 1
+        return decide_both(state, events)[0]
+
+    def checked_extract(state):
+        assert_open_lists(state)
+        events["open-list checks"] += 1
+        v = extract_max(state)
+        events["picks"] += v is not None
+        return v
+
+    def checked_step(method, name):
+        def step(state, v):
+            method(state, v)
+            assert_open_lists(state)
+            events["open-list checks"] += 1
+            events[name] += 1
+        return step
+    for inst in lookahead_instances():
+        expected = solve_cvck(inst)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(heuristic, "make_decision", checked_decision)
+            m.setattr(heuristic, "extract_max", checked_extract)
+            m.setattr(HeuristicState, "tentative_select",
+                      checked_step(select, "selections"))
+            m.setattr(HeuristicState, "undo_tentative", checked_step(undo, "undos"))
+            assert solve_cvck(inst) == expected
+    return events
 
 
 def path_instance(limits=(0, 1)):
@@ -128,7 +193,7 @@ class TestExtractMax:
 
     def test_skips_retired_vertices(self):
         state = HeuristicState(path_instance())
-        state.state[2] = NOT_SELECTED
+        state.retire(2, NOT_SELECTED)
         assert extract_max(state) == 1
 
 
@@ -184,21 +249,26 @@ class TestMakeDecision:
                         make_partition(3, [1, 2, 2, 3, 1, 3]), Budgets((2, 1, 1)))
         assert decide_both(HeuristicState(inst)) == (True, 4)
 
-    def test_matches_the_reference_in_every_solve_call(self, monkeypatch):
-        calls = []
+    def test_matches_the_reference_in_every_solve_call(self, checked_solves):
+        assert checked_solves["decisions"] > 1000
 
-        def checked(state):
-            calls.append(1)
-            return decide_both(state)[0]
-        for inst in lookahead_instances():
-            expected = solve_cvck(inst)
-            with monkeypatch.context() as m:
-                m.setattr(heuristic, "make_decision", checked)
-                assert solve_cvck(inst) == expected
-        assert len(calls) > 1000
+    def test_ensemble_runs_both_part_branches(self, checked_solves):
+        # make_decision picks a part whose positive members fit without a
+        # sort and ranks one that its residual truncates; the reference
+        # comparison must see both, and True verdicts past the first part
+        assert checked_solves["fits"] > 0
+        assert checked_solves["truncated"] > 0
+        assert checked_solves["true after first part"] > 0
 
 
 class TestStateMechanics:
+    def test_open_lists_track_every_step(self, checked_solves):
+        # the fixture checks the lists after every step; make sure every
+        # kind of step, budget-full skips included, was seen
+        skips = checked_solves["picks"] - checked_solves["selections"]
+        assert checked_solves["undos"] > 0 and skips > 0
+        assert checked_solves["open-list checks"] > 1000
+
     def test_undo_restores_overlay_exactly(self):
         state = HeuristicState(path_instance((1, 1)))
         assert state.live_mask == [0, 0b100, 0b1010, 0b100]
