@@ -87,9 +87,8 @@ class HeuristicState:
         g = inst.graph
         self.n = g.n
         self.adjacency = g.adjacency
-        self.bits = bits = [1 << v for v in range(self.n + 1)]
-        self.full = (bits[self.n] << 1) - 1  # every vertex bit, kept positive
-        self.live_mask = [sum(map(bits.__getitem__, nbrs)) for nbrs in g.adjacency]
+        self.full = (1 << (self.n + 1)) - 1  # every vertex bit, kept positive
+        self.live_mask = [sum(1 << u for u in nbrs) for nbrs in g.adjacency]
         self.live_degree = [len(nbrs) for nbrs in g.adjacency]
         self.live_count = g.m
         self.state = [NOT_USED] * (self.n + 1)
@@ -191,7 +190,7 @@ def make_decision(state: HeuristicState) -> bool:
         return True
     remaining = state.live_count
     picked = 0  # bitmask of this call's picks
-    mask, deg, bits = state.live_mask, state.live_degree, state.bits
+    mask, deg = state.live_mask, state.live_degree
     limits, b = state.limits, state.b
     order = sorted(range(1, state.k + 1), key=lambda p: (-(limits[p - 1] - b[p]), p))
     for p in order:
@@ -210,7 +209,7 @@ def make_decision(state: HeuristicState) -> bool:
             remaining -= sum(counts)
             if remaining == 0:
                 return True
-            picked |= sum(compress(map(bits.__getitem__, members), counts))
+            picked |= sum(1 << v for v in compress(members, counts))
         else:
             # members come in ascending id and the sort is stable, so equal
             # counts keep the lowest id first
@@ -218,9 +217,8 @@ def make_decision(state: HeuristicState) -> bool:
             state.op_count += residual
             for count, v in ranked[:residual]:
                 remaining -= count
-                picked |= bits[v]
-            if remaining == 0:
-                return True
+                picked |= 1 << v
+            # a positive member is left unpicked, so remaining stays > 0
     return False
 
 

@@ -14,6 +14,7 @@ state's open lists hold exactly the NOT_USED vertices after every step.
 
 from __future__ import annotations
 
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -268,6 +269,21 @@ class TestStateMechanics:
         skips = checked_solves["picks"] - checked_solves["selections"]
         assert checked_solves["undos"] > 0 and skips > 0
         assert checked_solves["open-list checks"] > 1000
+
+    def test_state_memory_is_linear_on_a_low_centred_star(self):
+        # every neighbour id is low, so the masks take O(n) words in all;
+        # a table of the n single-bit ints would take n**2 / 16 bytes (25 MB)
+        n = 20_000
+        inst = Instance(build_graph(n, [(1, v) for v in range(2, n + 1)]),
+                        make_partition(2, [1] + [2] * (n - 1)), Budgets((1, 0)))
+        tracemalloc.start()
+        try:
+            state = HeuristicState(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.live_count == n - 1
+        assert peak < 100 * (n + inst.graph.m), peak
 
     def test_undo_restores_overlay_exactly(self):
         state = HeuristicState(path_instance((1, 1)))
