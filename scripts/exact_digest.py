@@ -16,7 +16,11 @@ gen_kpartite specs with n in the hundreds, each making thousands of draws,
 at the extreme densities 5e-324 and 1 - 2**-53, with parts of unequal
 size and seeds at and beyond 2**63. A sixth, cvck-large, hashes solve_cvck's
 outcome, as in cvck, on those instances and on one more n = 200 instance
-under slack:0 budgets. Run it against any checkout's sources:
+under slack:0 budgets. A seventh, generators, hashes serialize_instance's
+text for gen_complete_kpartite on 240 seeded size tuples (1-6 parts of 1-12
+vertices each) and for gen_tree on n = 1..20 under exact and fixed budgets,
+the two modes the text digest's trees never use. Run it against any
+checkout's sources:
 
     PYTHONPATH=src python scripts/exact_digest.py
 
@@ -36,8 +40,8 @@ import time
 from collections import Counter
 
 from kpcover import (GenSpec, ParseError, SplitMix64, exact_cvck,
-                     exact_min_vc, gen_kpartite, gen_tree, parse_instance,
-                     serialize_instance, solve_cvck)
+                     exact_min_vc, gen_complete_kpartite, gen_kpartite,
+                     gen_tree, parse_instance, serialize_instance, solve_cvck)
 
 EXPECTED = {
     "text": "4d081075e92f334b1195bb0c59dd590de3ab1d552ed4e2fa37f538a8edb987fe",
@@ -46,6 +50,7 @@ EXPECTED = {
     "parse": "af501f7f8c33b531d94e0131ebbe6aa9c72a92039d7a4b2cdcf40b368a4be9d6",
     "large": "635b54f16c61988668482def5838462e9da75e5d2137dcd1add0ad3b8d1a42d0",
     "cvck-large": "f0088dba1737a3e5f94a08fcf665f3f3e4a6481b22875a015b990b481d58d7a5",
+    "generators": "827e2bd75ed93b07496040a68bbbb29a643492760fe105826c9d740407f89360",
 }
 LARGE_SPECS = (
     GenSpec(n=200, k=4, density=0.5, seed=41),
@@ -78,6 +83,18 @@ def instances(seed: int = 20261018, count: int = 5120):
                                        for _ in range(k))
         yield mode.split(":")[0], gen_kpartite(GenSpec(
             n=n, k=k, density=density, seed=inst_seed, budget_mode=mode))
+
+
+def generator_instances(seed: int = 20261020, count: int = 240):
+    rng = SplitMix64(seed)
+    for _ in range(count):
+        k = 1 + rng.next_below(6)
+        yield gen_complete_kpartite([1 + rng.next_below(12) for _ in range(k)])
+    for n in range(1, 21):
+        tree_seed = rng.next_u64()
+        limits = ",".join(str(rng.next_below(n)) for _ in range(min(n, 2)))
+        yield gen_tree(n, tree_seed, "exact")
+        yield gen_tree(n, tree_seed, "fixed:" + limits)
 
 
 def edit(text: str, rng: SplitMix64) -> str:
@@ -148,6 +165,8 @@ def main() -> int:
         digests["large"].update(serialize_instance(gen_kpartite(spec)).encode())
     for spec in CVCK_LARGE_SPECS:
         digests["cvck-large"].update(cvck_outcome(gen_kpartite(spec)))
+    for inst in generator_instances():
+        digests["generators"].update(serialize_instance(inst).encode())
     print(sum(kinds.values()), dict(sorted(kinds.items())),
           f"{time.perf_counter() - t0:.1f}s")
     failed = False
