@@ -234,6 +234,7 @@ def solve_cvck(inst: Instance) -> CoverResult:
     if not report.ok:
         raise InstanceInvalidError(report)
     state = HeuristicState(inst)
+    start = state.live_mask.copy()
     for _ in range(state.n + 1):
         v = extract_max(state)
         if v is None:
@@ -249,11 +250,12 @@ def solve_cvck(inst: Instance) -> CoverResult:
         raise AssertionError("heuristic loop exceeded n iterations")
 
     cover = frozenset(v for v in range(1, state.n + 1) if state.state[v] == SELECTED)
-    mask, edges = state.live_mask, inst.graph.sorted_edges()
-    # overlay consistency: live edges are exactly the ones the cover misses
-    assert all(mask[u] >> v & 1 == (u not in cover and v not in cover)
-               for u, v in edges)
-    uncovered = tuple(e for e in edges if mask[e[0]] >> e[1] & 1)
+    mask, keep = state.live_mask, state.full ^ sum(1 << v for v in cover)
+    # overlay consistency on both endpoints: live edges are those the cover misses
+    assert all(m == (0 if label == SELECTED else s & keep)
+               for m, label, s in zip(mask, state.state, start))
+    uncovered = tuple(e for e in inst.graph.sorted_edges()
+                      if mask[e[0]] >> e[1] & 1) if any(mask) else ()
     assert len(uncovered) == state.live_count
     status = SUCCESS if not uncovered else HEURISTIC_FAILURE
     return CoverResult(status=status, cover=cover,

@@ -26,7 +26,7 @@ from kpcover import (Budgets, GenSpec, Instance, InstanceInvalidError,
                      make_partition, per_part_usage, respects_budgets,
                      solve_cvck)
 from kpcover import heuristic
-from kpcover.heuristic import NOT_SELECTED, NOT_USED, HeuristicState
+from kpcover.heuristic import NOT_SELECTED, NOT_USED, SELECTED, HeuristicState
 
 from oracles import brute_optima
 from strategies import instances
@@ -356,6 +356,24 @@ class TestSolve:
                        Budgets((2,)))
         with pytest.raises(InstanceInvalidError):
             solve_cvck(bad)
+
+    def test_overlay_check_reads_both_endpoints(self, monkeypatch):
+        # after the last extract_max, set the lower endpoint's bit in the
+        # higher endpoint's mask of a covered edge: the solve must not end
+        inst = gen_kpartite(GenSpec(n=12, k=3, density=0.5, seed=5))
+        real = heuristic.extract_max
+
+        def corrupting_extract_max(state):
+            v = real(state)
+            if v is None:
+                u, w = next((u, w) for u, w in inst.graph.sorted_edges()
+                            if SELECTED in (state.state[u], state.state[w]))
+                state.live_mask[w] |= 1 << u
+            return v
+
+        monkeypatch.setattr(heuristic, "extract_max", corrupting_extract_max)
+        with pytest.raises(AssertionError):
+            solve_cvck(inst)
 
     @given(instances())
     @settings(max_examples=200, deadline=None)
