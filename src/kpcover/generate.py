@@ -14,12 +14,15 @@ byte-identical serialized instances on any platform. Normative draw order:
   evaluates them in batches: SplitMix64's state after draw i (counting
   from 1) is state_i = seed + i*gamma mod 2**64, gamma = 0x9E3779B97F4A7C15,
   so each draw depends on i alone. The SplitMix64 class is the reference
-  the batched draws are tested against.
+  the batched draws are tested against. _contiguous_parts lays out the
+  parts and reads one flag per pair in this order, for gen_complete_kpartite
+  too, whose flags are all 1.
 * gen_tree: a tree on n >= 2 vertices is decoded from a sequence of n - 2
   labels, each drawn as 1 + next_below(n); the decode repeatedly joins the
   smallest degree-1 vertex to the next label. n <= 2 draws nothing.
 
-Budget modes (canonical spelling, also used in files and CSV):
+Budget modes (canonical spelling, also used in files and CSV; S, a and b
+are ASCII decimal, as in the instance grammar):
 
 * ``exact``     - limits are the per-part usage of the exact minimum cover,
                   the tightest budgets that stay feasible (small n only).
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
 
@@ -104,7 +107,7 @@ def parse_budget_mode(mode: str) -> tuple[str, int | None, tuple[int, ...] | Non
         return "exact", None, None
     if mode.startswith("slack:"):
         try:
-            s = int(mode.split(":", 1)[1])
+            s = _decimal(mode.split(":", 1)[1])
         except ValueError:
             raise SpecInvalidError(f"bad slack amount in {mode!r}") from None
         if s < 0:
@@ -112,13 +115,22 @@ def parse_budget_mode(mode: str) -> tuple[str, int | None, tuple[int, ...] | Non
         return "slack", s, None
     if mode.startswith("fixed:"):
         try:
-            limits = tuple(int(x) for x in mode.split(":", 1)[1].split(","))
+            limits = tuple(_decimal(x) for x in mode.split(":", 1)[1].split(","))
         except ValueError:
             raise SpecInvalidError(f"bad fixed limits in {mode!r}") from None
         if any(b < 0 for b in limits):
             raise SpecInvalidError("fixed limits must be >= 0")
         return "fixed", None, limits
     raise SpecInvalidError(f"unknown budget mode {mode!r}")
+
+
+def _decimal(field: str) -> int:
+    """int(field) for ASCII digits after an optional '-'; int() alone would
+    also take '+1', ' 1', '1_0' and non-ASCII digits."""
+    digits = field.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(field)
+    return int(field)
 
 
 def derive_budgets(graph: Graph, partition: KPartition, mode: str) -> Budgets:
@@ -151,27 +163,31 @@ def gen_kpartite(spec: GenSpec) -> Instance:
     parse_budget_mode(spec.budget_mode)
 
     sizes = even_part_sizes(spec.n, spec.k)
-    assign: list[int] = []
-    for p, size in enumerate(sizes, start=1):
-        assign.extend([p] * size)
-    partition = make_partition(spec.k, assign)
-
-    # Parts are contiguous, so u's different-part partners are exactly
-    # end..n, where end starts the next part; compress consumes one hit
-    # flag per partner, in the documented draw order. The partners are
-    # sliced from one list of ids, so a missed pair allocates nothing.
-    n, edges, ids = spec.n, [], list(range(spec.n + 1))
-    draws = (n * n - sum(size * size for size in sizes)) // 2
+    draws = (spec.n * spec.n - sum(size * size for size in sizes)) // 2
     hits = chain.from_iterable(_hit_flags(spec.seed, draws, spec.density))
+    graph, partition = _contiguous_parts(sizes, hits)
+    return Instance(graph=graph, partition=partition,
+                    budgets=derive_budgets(graph, partition, spec.budget_mode))
+
+
+def _contiguous_parts(sizes: Sequence[int], hits: Iterator) -> tuple[Graph, KPartition]:
+    """Graph and partition with parts of the given sizes over consecutive
+    ids, part 1 first. Each inter-part pair (u, v), u < v, takes the next
+    flag of hits, in ascending pair order, and is an edge iff it is true.
+    u's partners in later parts are exactly end..n, sliced from one list of
+    ids, and compress reads one flag per partner, so a missed pair
+    allocates nothing.
+    """
+    n = sum(sizes)
+    assign, edges, ids = [], [], list(range(n + 1))
     end = 1
-    for size in sizes:
+    for p, size in enumerate(sizes, start=1):
+        assign += repeat(p, size)
         start, end = end, end + size
         partners = ids[end:]
         for u in range(start, end):
             edges.extend(zip(repeat(u), compress(partners, hits)))
-    graph = build_graph(n, edges)
-    return Instance(graph=graph, partition=partition,
-                    budgets=derive_budgets(graph, partition, spec.budget_mode))
+    return build_graph(n, edges), make_partition(len(sizes), assign)
 
 
 def _hit_flags(seed: int, draws: int, density: float) -> Iterator[bytes]:
@@ -213,20 +229,14 @@ def gen_tree(n: int, seed: int, budget_mode: str = "slack:1") -> Instance:
     """
     if n < 1:
         raise SpecInvalidError(f"tree needs n >= 1, got {n}")
-    rng = SplitMix64(seed)
     if n == 1:
-        edges: list[tuple[int, int]] = []
+        graph, partition = build_graph(1, []), make_partition(1, [1])
     else:
+        rng = SplitMix64(seed)
         seq = [1 + rng.next_below(n) for _ in range(n - 2)]
-        edges = _decode_label_sequence(n, seq)
-    graph = build_graph(n, edges)
-
-    if n == 1:
-        partition = make_partition(1, [1])
-    else:
+        graph = build_graph(n, _decode_label_sequence(n, seq))
         depth = _bfs_depths(graph)
-        partition = make_partition(2, [1 if depth[v] % 2 == 0 else 2
-                                       for v in range(1, n + 1)])
+        partition = make_partition(2, [1 + depth[v] % 2 for v in range(1, n + 1)])
     return Instance(graph=graph, partition=partition,
                     budgets=derive_budgets(graph, partition, budget_mode))
 
@@ -236,17 +246,8 @@ def gen_complete_kpartite(sizes: tuple[int, ...] | list[int]) -> Instance:
     sizes = tuple(sizes)
     if not sizes or any(s < 1 for s in sizes):
         raise SpecInvalidError(f"part sizes must all be >= 1, got {sizes}")
-    n = sum(sizes)
-    assign: list[int] = []
-    for p, size in enumerate(sizes, start=1):
-        assign.extend([p] * size)
-    edges = [(u, v)
-             for u in range(1, n + 1)
-             for v in range(u + 1, n + 1)
-             if assign[u - 1] != assign[v - 1]]
-    return Instance(graph=build_graph(n, edges),
-                    partition=make_partition(len(sizes), assign),
-                    budgets=Budgets(sizes))
+    graph, partition = _contiguous_parts(sizes, repeat(1))
+    return Instance(graph=graph, partition=partition, budgets=Budgets(sizes))
 
 
 def _decode_label_sequence(n: int, seq: list[int]) -> list[tuple[int, int]]:

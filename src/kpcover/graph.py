@@ -39,9 +39,6 @@ class Graph:
     def vertices(self) -> range:
         return range(1, self.n + 1)
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def sorted_edges(self) -> tuple[Edge, ...]:
         return self.edge_order
 
@@ -117,14 +114,12 @@ def make_partition(k: int, part_of: Mapping[int, int] | Sequence[int]) -> KParti
         n = len(part_of)
         if set(part_of.keys()) != set(range(1, n + 1)):
             raise VertexOutOfRangeError("partition must assign exactly vertices 1..n")
-        assign = [0] + [part_of[v] for v in range(1, n + 1)]
-    else:
-        assign = [0] + list(part_of)
+        part_of = map(part_of.__getitem__, range(1, n + 1))
+    assign = [0, *part_of]
+    groups: list[set[int]] = [set() for _ in range(k + 1)]
     for v, p in enumerate(assign[1:], start=1):
         if not (1 <= p <= k):
             raise VertexOutOfRangeError(f"vertex {v} assigned to part {p}, outside 1..{k}")
-    groups: list[set[int]] = [set() for _ in range(k + 1)]
-    for v, p in enumerate(assign[1:], start=1):
         groups[p].add(v)
     return KPartition(k=k, part_of=tuple(assign),
                       parts=tuple(frozenset(s) for s in groups))

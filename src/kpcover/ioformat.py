@@ -107,9 +107,8 @@ def parse_instance(text: str) -> Instance:
         missing = next(p for p in range(1, k + 1) if p not in b_records)
         raise ParseError(p_lineno, "MissingBudget",
                          f"no b record for part {missing}")
-    part_of = [0] * (n + 1)
-    for v, p in v_records.items():
-        part_of[v] = p
+    partition = make_partition(k, v_records)  # vertices 1..n, parts 1..k: no raise
+    part_of = partition.part_of
     for i, (u, v) in enumerate(e_pairs):
         if part_of[u] == part_of[v]:
             raise ParseError(_e_line(text, i), "IntraPartEdge",
@@ -124,8 +123,7 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError(_e_line(text, i), "DuplicateRecord",
                                  f"edge ({u}, {v}) given twice")
             seen.add(pair)
-    return Instance(graph=graph,
-                    partition=make_partition(k, part_of[1:]),
+    return Instance(graph=graph, partition=partition,
                     budgets=Budgets(tuple(b_records[p] for p in range(1, k + 1))))
 
 

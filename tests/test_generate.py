@@ -180,7 +180,10 @@ class TestBudgetModes:
         assert parse_budget_mode("exact") == ("exact", None, None)
         assert parse_budget_mode("slack:2") == ("slack", 2, None)
         assert parse_budget_mode("fixed:1,0,2") == ("fixed", None, (1, 0, 2))
-        for bad in ("slack:x", "slack:-1", "fixed:a", "whatever"):
+        for bad in ("slack:x", "slack:-1", "fixed:a", "whatever",
+                    "slack:1_0", "slack:+1", "slack: 1", "slack:1 ", "slack:-",
+                    "slack:\u0663", "fixed:\u0663,1,1", "fixed:1,+1",
+                    "fixed:1, 2", "fixed:1_0,2", "fixed:1,,2"):
             with pytest.raises(SpecInvalidError):
                 parse_budget_mode(bad)
 
