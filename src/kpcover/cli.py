@@ -3,7 +3,7 @@
 Subcommands: validate, solve, reduce-clique, gen, bench.
 
 Exit codes: 0 success, 1 missing or unreadable file or other I/O error,
-2 parse or parameter error, 3 invalid instance, 4 heuristic failure,
+2 parse, parameter or other toolkit error, 3 invalid instance, 4 heuristic failure,
 5 infeasible.
 """
 
@@ -14,7 +14,7 @@ import json
 import sys
 
 from .bench import DEFAULT_EXACT_CUTOFF, BenchConfig, run_bench, write_csv
-from .errors import (InstanceInvalidError, KOutOfRangeError, ParseError,
+from .errors import (InstanceInvalidError, KPCoverError, ParseError,
                      SpecInvalidError)
 from .exact import INFEASIBLE
 from .generate import GenSpec, gen_complete_kpartite, gen_kpartite, gen_tree
@@ -39,18 +39,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:
+    except (OSError, KPCoverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID if exc.kind == "IntraPartEdge" else EXIT_PARSE
-    except (SpecInvalidError, KOutOfRangeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, OSError):
+            return EXIT_IO
+        if (isinstance(exc, InstanceInvalidError)
+                or isinstance(exc, ParseError) and exc.kind == "IntraPartEdge"):
+            return EXIT_INVALID
         return EXIT_PARSE
-    except InstanceInvalidError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
 
 
 def entry() -> None:  # console-script hook
@@ -156,7 +152,7 @@ def cmd_reduce_clique(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    if args.complete:
+    if args.complete is not None:
         try:
             sizes = tuple(int(x) for x in args.complete.split(","))
         except ValueError:

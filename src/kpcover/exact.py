@@ -58,11 +58,12 @@ def _min_cover_search(g: Graph, part_of: tuple[int, ...], limits: tuple[int, ...
     """Depth-first branch and bound over an explicit stack.
 
     A stack entry is a move from a parent node: the vertices it puts in the
-    cover, the vertex it excludes (or None) and the parent's depth. The
-    trail holds the moves that lead to the current node; popping an entry
-    first undoes the trail down to its parent. The branch that puts u in
-    the cover is pushed last, so it is explored first. Counts never pass
-    their limits, so the budget left for the rest of the cover is
+    cover, the vertex it excludes (or None) and a sign. Popping a move with
+    sign 1 applies it and pushes the same move with sign -1 below the
+    node's children, so that marker pops once every descendant has been
+    explored and undoes exactly what the apply added. The branch that puts
+    u in the cover is pushed last, so it is explored first. Counts never
+    pass their limits, so the budget left for the rest of the cover is
     sum(limits) - len(cover).
     """
     edges_sorted = g.sorted_edges()
@@ -75,22 +76,19 @@ def _min_cover_search(g: Graph, part_of: tuple[int, ...], limits: tuple[int, ...
     cover: set[int] = set()
     excluded: set[int] = set()
     counts = [0] * len(limits)
-    trail: list[tuple[list[int], int | None]] = []
-    stack: list[tuple[int, list[int], int | None]] = [(0, [], None)]
+    stack: list[tuple[list[int], int | None, int]] = [([], None, 1)]
     while stack:
-        depth, joined, out = stack.pop()
-        while len(trail) > depth:
-            undo, back = trail.pop()
-            cover.difference_update(undo)
-            excluded.discard(back)
-            for w in undo:
-                counts[part_of[w] - 1] -= 1
+        joined, out, sign = stack.pop()
+        for w in joined:
+            counts[part_of[w] - 1] += sign
+        if sign < 0:
+            cover.difference_update(joined)
+            excluded.discard(out)
+            continue
         cover.update(joined)
         if out is not None:
             excluded.add(out)
-        for w in joined:
-            counts[part_of[w] - 1] += 1
-        trail.append((joined, out))
+        stack.append((joined, out, -1))
         nodes += 1
         # greedy maximal matching on the uncovered edges; its first edge,
         # the first uncovered edge in sorted order, is the branching edge
@@ -119,10 +117,10 @@ def _min_cover_search(g: Graph, part_of: tuple[int, ...], limits: tuple[int, ...
         for w in forced:
             after[part_of[w] - 1] += 1
         if all(c <= lim for c, lim in zip(after, limits)):
-            stack.append((len(trail), forced, u))
+            stack.append((forced, u, 1))
         p = part_of[u] - 1
         if counts[p] < limits[p]:
-            stack.append((len(trail), [u], None))
+            stack.append(([u], None, 1))
     return best[1], nodes
 
 

@@ -223,16 +223,14 @@ def greedy_partition(g: Graph) -> KPartition:
     The number of colors used becomes k. Output never places both endpoints
     of an edge in one part.
     """
-    color: dict[int, int] = {}
-    k = 1
+    color = [0] * (g.n + 1)  # 0: not coloured yet
     for v in g.vertices():
-        taken = {color[u] for u in g.adjacency[v] if u in color}
+        taken = {color[u] for u in g.adjacency[v]}
         c = 1
         while c in taken:
             c += 1
         color[v] = c
-        k = max(k, c)
-    return make_partition(k, color)
+    return make_partition(max(color), color[1:])
 
 
 def _checked_subset(g: Graph, s: Iterable[int]) -> set[int]:

@@ -13,6 +13,8 @@ import pytest
 
 import kpcover
 from kpcover.cli import main
+from kpcover.errors import SelfLoopError
+from kpcover.graph import ValidationReport
 
 SRC = str(Path(kpcover.__file__).resolve().parents[1])
 
@@ -108,6 +110,22 @@ class TestValidate:
         text = "p kpvc 2 1 1\nv 1 1\nv 2 1\nb 1 2\ne 1 2\n"
         assert main(["validate", write(tmp_path, "intra.kpvc", text)]) == 3
         assert "line 5" in capsys.readouterr().err
+
+    def test_failing_report_exits_3(self, tmp_path, capsys, monkeypatch):
+        report = ValidationReport(ok=False, violations=("part 2 is odd",),
+                                  warnings=())
+        monkeypatch.setattr("kpcover.cli.validate_instance", lambda inst: report)
+        assert main(["validate", write(tmp_path, "a.kpvc", PATH_FILE)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: part 2 is odd\n"
+
+    def test_other_toolkit_error_exits_2(self, tmp_path, capsys, monkeypatch):
+        def fail(inst):
+            raise SelfLoopError("edge (2, 2) is a loop")
+        monkeypatch.setattr("kpcover.cli.validate_instance", fail)
+        assert main(["validate", write(tmp_path, "a.kpvc", PATH_FILE)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: edge (2, 2) is a loop\n"
 
     def test_empty_part_is_a_warning(self, tmp_path, capsys):
         text = "p kpvc 2 1 3\nv 1 1\nv 2 2\nb 1 1\nb 2 1\nb 3 0\ne 1 2\n"
@@ -225,7 +243,8 @@ class TestGen:
         (["--complete", "2,x"], "bad part sizes '2,x'"),
         (["--tree", "--seed", "1"], "--tree requires --n"),
         (["--n", "4", "--density", "0.5"], "gen requires --n, --k and --density"),
-    ], ids=["complete-sizes", "tree-without-n", "without-k"])
+        (["--complete", ""], "bad part sizes ''"),
+    ], ids=["complete-sizes", "tree-without-n", "without-k", "complete-empty"])
     def test_spec_errors_exit_2(self, capsys, flags, message):
         assert main(["gen"] + flags) == 2
         captured = capsys.readouterr()
@@ -242,6 +261,15 @@ class TestGen:
         env = dict(os.environ, PYTHONPATH=SRC)
         proc = subprocess.run(
             [sys.executable, "-m", "kpcover.cli", "gen", "--n", "2", "--k", "2",
+             "--density", "1"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[0] == "p kpvc 2 1 2"
+
+    def test_runs_as_package(self):
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run(
+            [sys.executable, "-m", "kpcover", "gen", "--n", "2", "--k", "2",
              "--density", "1"],
             capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0
