@@ -3,8 +3,8 @@
 Subcommands: validate, solve, reduce-clique, gen, bench.
 
 Exit codes: 0 success, 1 missing or unreadable file or other I/O error,
-2 parse, parameter or other toolkit error, 3 invalid instance, 4 heuristic failure,
-5 infeasible.
+2 parse, parameter or other toolkit error, 3 invalid instance, 4 heuristic
+failure, 5 infeasible.
 """
 
 from __future__ import annotations
