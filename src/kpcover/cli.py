@@ -2,15 +2,17 @@
 
 Subcommands: validate, solve, reduce-clique, gen, bench.
 
-Exit codes: 0 success, 1 missing or unreadable file or other I/O error,
-2 parse, parameter or other toolkit error, 3 invalid instance, 4 heuristic
-failure, 5 infeasible.
+Exit codes: 0 success, 1 missing or unreadable file or other I/O error (a
+write to a stdout whose reader closed early exits 1 with nothing on
+stderr), 2 parse, parameter or other toolkit error, 3 invalid instance,
+4 heuristic failure, 5 infeasible.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .bench import DEFAULT_EXACT_CUTOFF, BenchConfig, run_bench, write_csv
@@ -38,7 +40,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that left shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader went away: say nothing, and point stdout at
+        # devnull so the interpreter's exit-time flush finds no pipe either
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_IO
     except (OSError, KPCoverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, OSError):

@@ -44,8 +44,8 @@ from itertools import chain, compress, repeat
 from .approx import two_approx_vc
 from .errors import SpecInvalidError
 from .exact import exact_min_vc
-from .graph import (Budgets, Graph, Instance, KPartition, build_graph,
-                    make_partition, per_part_usage)
+from .graph import (Budgets, Graph, Instance, KPartition, _sorted_graph,
+                    build_graph, make_partition, per_part_usage)
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -187,7 +187,7 @@ def _contiguous_parts(sizes: Sequence[int], hits: Iterator) -> tuple[Graph, KPar
         partners = ids[end:]
         for u in range(start, end):
             edges.extend(zip(repeat(u), compress(partners, hits)))
-    return build_graph(n, edges), make_partition(len(sizes), assign)
+    return _sorted_graph(n, edges), make_partition(len(sizes), assign)
 
 
 def _hit_flags(seed: int, draws: int, density: float) -> Iterator[bytes]:

@@ -48,8 +48,8 @@ def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
 
     Duplicate pairs (in either orientation) are deduplicated silently.
     Self-loops and endpoints outside 1..n are hard errors. Input that is
-    already sorted, as the generators and canonical files give it, sorts in
-    linear time, and (u, v) tuples with u < v are stored as they are.
+    already sorted, as canonical files give it, sorts in linear time, and
+    (u, v) tuples with u < v are stored as they are.
     """
     if n < 1:
         raise VertexOutOfRangeError(f"vertex count must be >= 1, got {n}")
@@ -67,7 +67,14 @@ def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
             e = (u, v)
         append(e)
     pairs.sort()  # duplicates are now adjacent
-    edges = tuple(pairs[:1] + [e for prev, e in zip(pairs, pairs[1:]) if e != prev])
+    return _sorted_graph(n, pairs[:1] + [e for prev, e in zip(pairs, pairs[1:]) if e != prev])
+
+
+def _sorted_graph(n: int, edges: Sequence[Edge]) -> Graph:
+    """Graph from (u, v) tuples that are already ascending, distinct, in
+    1..n and have u < v, as build_graph leaves them and as the generators
+    and complement emit them; nothing is checked again."""
+    edges = tuple(edges)
     adj: list[list[int]] = [[] for _ in range(n + 1)]
     for u, v in edges:
         adj[u].append(v)
@@ -81,7 +88,7 @@ def complement(g: Graph) -> Graph:
                for u in range(1, g.n + 1)
                for v in range(u + 1, g.n + 1)
                if v not in g.adjacency[u]]
-    return build_graph(g.n, missing)
+    return _sorted_graph(g.n, missing)
 
 
 @dataclass(frozen=True)

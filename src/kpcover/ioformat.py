@@ -19,11 +19,21 @@ parse_instance reads the text with one line regex. A line that is exactly
 the match groups; any other line (comment, p line, CR, tabs, repeated
 spaces, signs or long fields) is split into tokens. Both shapes then go
 through the same value checks, so the fast shape only skips the tokenizing.
+
+After the p line, a run of plain e lines, each `e`, a space, 1-18 digits, a
+space, 1-18 digits and an LF, is read in chunks of at most _RUN_LINES
+lines: one match, one split and one int() pass per chunk, with the
+self-loop and 1..n checks done over the whole chunk. A chunk that fails a
+check is read line by line instead, so every error keeps its kind, line and
+message, and the cap keeps the chunk's token lists small however long the
+run. Intra-part edges are found after the loop with one set-disjointness
+test per vertex of the built graph.
 """
 
 from __future__ import annotations
 
 import re
+from operator import eq
 
 from .errors import InstanceInvalidError, ParseError
 from .graph import (Budgets, Instance, build_graph, make_partition,
@@ -36,8 +46,23 @@ def parse_instance(text: str) -> Instance:
     v_records: dict[int, int] = {}
     b_records: dict[int, int] = {}
     e_pairs: list[tuple[int, int]] = []
+    lineno = pos = bulk_from = 0
+    size = len(text)
 
-    for lineno, line in enumerate(_LINE.finditer(text), 1):
+    while pos < size:
+        if header is not None and pos >= bulk_from:
+            run = _E_RUN.match(text, pos)
+            if run is not None:
+                pairs = _run_pairs(run[0], n)
+                if pairs is not None:
+                    e_pairs += pairs
+                    lineno += len(pairs)
+                    pos = run.end()
+                    continue
+                bulk_from = run.end()  # the loop below names the first bad line
+        line = _LINE.match(text, pos)  # takes at least one character
+        lineno += 1
+        pos = line.end()
         kind, x, y, raw = line.groups()
         if kind is None:
             tokens = raw.split()
@@ -108,13 +133,15 @@ def parse_instance(text: str) -> Instance:
         raise ParseError(p_lineno, "MissingBudget",
                          f"no b record for part {missing}")
     partition = make_partition(k, v_records)  # vertices 1..n, parts 1..k: no raise
-    part_of = partition.part_of
-    for i, (u, v) in enumerate(e_pairs):
-        if part_of[u] == part_of[v]:
-            raise ParseError(_e_line(text, i), "IntraPartEdge",
-                             f"edge ({u}, {v}) inside part {part_of[u]}")
-
-    graph = build_graph(n, e_pairs)
+    graph = build_graph(n, e_pairs)  # pairs range-checked above: no raise
+    adj, parts, part_of = graph.adjacency, partition.parts, partition.part_of
+    # a part's vertices are its set, so one disjointness test per vertex
+    # finds any intra-part edge; the file-order walk only names the first
+    if not all(adj[v].isdisjoint(parts[part_of[v]]) for v in range(1, n + 1)):
+        i, (u, v) = next((i, (u, v)) for i, (u, v) in enumerate(e_pairs)
+                         if part_of[u] == part_of[v])
+        raise ParseError(_e_line(text, i), "IntraPartEdge",
+                         f"edge ({u}, {v}) inside part {part_of[u]}")
     if graph.m != m:  # build_graph merged a repeated pair; name its line
         seen: set[tuple[int, int]] = set()
         for i, (u, v) in enumerate(e_pairs):
@@ -133,6 +160,21 @@ def parse_instance(text: str) -> Instance:
 # a record nor shift the line numbers after it.
 _LINE = re.compile(r"(?:([vbe]) ([0-9]{1,18}) ([0-9]{1,18})|(.*))(?:\n|\Z)")
 _RECORDS = {"v": "v <vertex> <part>", "b": "b <part> <budget>", "e": "e <u> <v>"}
+# up to _RUN_LINES consecutive plain e records, each ended by LF; capping the
+# chunk keeps the transient token lists the same size however long the run
+_RUN_LINES = 1024
+_E_RUN = re.compile(r"(?:e [0-9]{1,18} [0-9]{1,18}\n){1,%d}" % _RUN_LINES)
+
+
+def _run_pairs(run: str, n: int) -> list[tuple[int, int]] | None:
+    """The (u, v) pairs of an _E_RUN match, or None when one of them is a
+    self-loop or leaves 1..n; the caller then reads the run line by line."""
+    fields = run.split()
+    us = list(map(int, fields[1::3]))
+    vs = list(map(int, fields[2::3]))
+    if any(map(eq, us, vs)) or min(min(us), min(vs)) < 1 or max(max(us), max(vs)) > n:
+        return None
+    return list(zip(us, vs))
 
 
 def _e_line(text: str, i: int) -> int:

@@ -305,6 +305,27 @@ class TestProcess:
             assert proc.stderr.startswith(err) and bool(proc.stderr) == bool(err), args
 
 
+    @pytest.mark.parametrize("args, status", [
+        (["gen", "--n", "300", "--k", "3", "--density", "0.5"], (0, 1)),
+        (["solve", "tree.kpvc", "--algo", "2approx", "--output", "text"], (1,)),
+    ], ids=["gen", "solve"])
+    def test_stdout_closed_early_is_quiet(self, tmp_path, capsys, args, status):
+        # both outputs are far longer than a pipe holds. gen writes its text
+        # in one call, which the interpreter may cut short without an error
+        # (exit 0); solve prints again after the reader has gone (exit 1)
+        assert main(["gen", "--tree", "--n", "30000", "--seed", "1"]) == 0
+        write(tmp_path, "tree.kpvc", capsys.readouterr().out)
+        proc = subprocess.Popen([sys.executable, "-m", "kpcover", *args],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                cwd=tmp_path, env=dict(os.environ, PYTHONPATH=SRC))
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) in status
+        assert len(head) == 100 and err == b""
+
+
 class TestReduceClique:
     def test_writes_complement_instance(self, tmp_path, capsys):
         src = write(tmp_path, "t.kpvc", TRIANGLE_PLUS_ISOLATED)

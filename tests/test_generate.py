@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from kpcover import (GenSpec, SpecInvalidError, SplitMix64, derive_budgets,
-                     exact_cvck, exact_min_vc, gen_complete_kpartite,
-                     gen_kpartite, gen_tree, parse_budget_mode,
-                     per_part_usage, serialize_instance, validate_instance)
+from kpcover import (GenSpec, SpecInvalidError, SplitMix64, build_graph,
+                     complement, derive_budgets, exact_cvck, exact_min_vc,
+                     gen_complete_kpartite, gen_kpartite, gen_tree,
+                     parse_budget_mode, per_part_usage, serialize_instance,
+                     validate_instance)
 from kpcover.generate import _LANES, even_part_sizes
 
 
@@ -279,3 +282,41 @@ class TestCompleteKPartite:
             gen_complete_kpartite((2, 0))
         with pytest.raises(SpecInvalidError):
             gen_complete_kpartite(())
+
+
+def _large_specs():
+    """The gen_kpartite specs whose text scripts/exact_digest.py pins as its
+    large digest."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "exact_digest.py"
+    spec = importlib.util.spec_from_file_location("exact_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.LARGE_SPECS
+
+
+SMALL_SPECS = tuple(GenSpec(n=n, k=k, density=density, seed=n * 10 + k)
+                    for n in (1, 2, 7, 12) for k in range(1, min(n, 4) + 1)
+                    for density in (0.0, 0.3, 1.0))
+
+
+class TestSortedBuilder:
+    """The generators and complement build their graphs without build_graph's
+    checks and sort; the result must be what build_graph makes of the same
+    edges, adjacency included (Graph equality leaves it out)."""
+
+    @staticmethod
+    def assert_as_build_graph(g):
+        ref = build_graph(g.n, g.sorted_edges())
+        assert g.edge_order == ref.edge_order and g.adjacency == ref.adjacency
+
+    @pytest.mark.parametrize("spec", SMALL_SPECS + _large_specs())
+    def test_gen_kpartite_and_its_complement(self, spec):
+        g = gen_kpartite(spec).graph
+        self.assert_as_build_graph(g)
+        self.assert_as_build_graph(complement(g))
+
+    @pytest.mark.parametrize("sizes", [(1,), (1, 1), (3,), (2, 3), (4, 1, 5), (1, 2, 3, 4, 5)])
+    def test_gen_complete_kpartite_and_its_complement(self, sizes):
+        g = gen_complete_kpartite(sizes).graph
+        self.assert_as_build_graph(g)
+        self.assert_as_build_graph(complement(g))

@@ -262,34 +262,51 @@ e 2 3
 """
 
 
+# stands in for ioformat._E_RUN to turn the e-record run off
+_NO_RUN = re.compile("(?!)")
+
+
 class _PlainCounter:
-    """Stands in for ioformat._LINE and counts the plain records it yields."""
+    """Stands in for ioformat._LINE and ioformat._run_pairs and counts the
+    plain records read: lines matched by _LINE's plain alternative, and the
+    pairs of each e-record run that _run_pairs accepts."""
 
-    def __init__(self, line):
-        self.line, self.plain = line, 0
+    def __init__(self, line, run_pairs):
+        self.line, self.run_pairs, self.plain = line, run_pairs, 0
 
-    def finditer(self, text):
-        for match in self.line.finditer(text):
-            self.plain += match[1] is not None
-            yield match
+    def match(self, text, pos):
+        match = self.line.match(text, pos)
+        self.plain += match[1] is not None
+        return match
+
+    def finditer(self, text):  # the error path's re-read, not counted
+        return self.line.finditer(text)
+
+    def pairs(self, run, n):
+        pairs = self.run_pairs(run, n)
+        self.plain += 0 if pairs is None else len(pairs)
+        return pairs
 
 
 class TestEdgeRun:
     """Plain records, such as the run of e records canonical text ends with,
-    read from the match groups, against the same text read line by line
-    from tokens alone: _LINE with its plain alternative never matching."""
+    read from the match groups or as one run, against the same text read
+    line by line from tokens alone: _LINE with its plain alternative never
+    matching and the e-record run turned off."""
 
     @staticmethod
     def outcomes(text):
         """(outcome, plain records read, outcome line by line)."""
-        counter = _PlainCounter(ioformat._LINE)
+        counter = _PlainCounter(ioformat._LINE, ioformat._run_pairs)
         tokens_only = re.compile(ioformat._LINE.pattern.replace(
             "(?:([vbe])", "(?:(?!)([vbe])", 1))
         assert tokens_only.pattern != ioformat._LINE.pattern
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ioformat, "_LINE", counter)
+            mp.setattr(ioformat, "_run_pairs", counter.pairs)
             outcome = _outcome(text)
             mp.setattr(ioformat, "_LINE", tokens_only)
+            mp.setattr(ioformat, "_E_RUN", _NO_RUN)
             return outcome, counter.plain, _outcome(text)
 
     def assert_same_outcome(self, text, kind):
@@ -378,6 +395,108 @@ class TestEdgeRun:
             tracemalloc.stop()
         assert report.ok and inst.graph.m == n - 1
         assert peak < 40_000_000
+
+
+def _run_text(m, edit=None, at=None):
+    """Text whose e records are one run of m plain lines over parts {odd}
+    and {even} of 120 vertices, with the e record at index `at` edited."""
+    n = 120
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1, 2)][:m]
+    lines = [f"e {u} {v}" for u, v in pairs]
+    u, v = pairs[at] if at is not None else (0, 0)
+    if edit == "self-loop":
+        lines[at] = f"e {u} {u}"
+    elif edit == "out-of-range":
+        lines[at] = f"e {u} {n + 1}"
+    elif edit == "vertex-0":
+        lines[at] = f"e 0 {v}"
+    elif edit == "19-digit":
+        lines[at] = f"e {u:019d} {v}"
+    elif edit == "cr":
+        lines[at] += "\r"
+    elif edit == "comment":
+        lines.insert(at, "c note")
+    elif edit == "intra-part":
+        lines[at] = f"e {u} {u + 2}"  # u stays below n - 1 in these runs
+    elif edit == "repeated":
+        other = pairs[at - 1] if at else pairs[1]
+        lines[at] = f"e {other[1]} {other[0]}"
+    return "".join([f"p kpvc {n} {m} 2\n",
+                    *(f"v {w} {2 - w % 2}\n" for w in range(1, n + 1)),
+                    f"b 1 {n}\nb 2 {n}\n",
+                    *(line + "\n" for line in lines)])
+
+
+class TestBulkRun:
+    """A run of plain e records is read _RUN_LINES at a time; any chunk with
+    a bad record goes line by line, so every outcome, instance or error,
+    matches a parse with the run turned off."""
+
+    CHUNK = ioformat._RUN_LINES
+
+    @staticmethod
+    def outcomes(text):
+        """(outcome, sizes of the runs read in bulk, outcome with no run)."""
+        sizes, read = [], ioformat._run_pairs
+
+        def run_pairs(run, n):
+            pairs = read(run, n)
+            sizes.append(None if pairs is None else len(pairs))
+            return pairs
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ioformat, "_run_pairs", run_pairs)
+            outcome = _outcome(text)
+            mp.setattr(ioformat, "_E_RUN", _NO_RUN)
+            return outcome, sizes, _outcome(text)
+
+    @pytest.mark.parametrize("m", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 1])
+    def test_run_lengths(self, m):
+        outcome, sizes, expected = self.outcomes(_run_text(m))
+        assert outcome == expected and outcome.graph.m == m
+        full, rest = divmod(m, self.CHUNK)
+        assert sizes == [self.CHUNK] * full + [rest] * (rest > 0)
+
+    @pytest.mark.parametrize("at", [0, CHUNK - 1, CHUNK, CHUNK + 1,
+                                    2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1, 3 * CHUNK])
+    @pytest.mark.parametrize("edit, kind", [
+        ("self-loop", "Syntax"), ("out-of-range", "Syntax"), ("vertex-0", "Syntax"),
+        ("19-digit", None), ("cr", None), ("comment", None),
+        ("intra-part", "IntraPartEdge"), ("repeated", "DuplicateRecord")])
+    def test_edited_record(self, edit, kind, at):
+        outcome, sizes, expected = self.outcomes(_run_text(3 * self.CHUNK + 1, edit, at))
+        assert outcome == expected
+        if kind is None:
+            assert outcome.graph.m == 3 * self.CHUNK + 1
+        else:
+            # 123 lines come before the run; a repeat at its first line
+            # names its second occurrence, the next line
+            assert outcome[:2] == (kind, 124 + at + (edit == "repeated" and at == 0))
+        # a self-loop or a vertex outside 1..n refuses its chunk
+        assert (None in sizes) == (kind == "Syntax")
+
+    def test_no_final_lf(self):
+        m = 2 * self.CHUNK
+        outcome, sizes, expected = self.outcomes(_run_text(m)[:-1])
+        assert outcome == expected and outcome.graph.m == m
+        assert sizes == [self.CHUNK, self.CHUNK - 1]  # the last line has no LF
+
+    def test_chunk_memory_is_bounded(self):
+        text = serialize_instance(gen_kpartite(GenSpec(n=200, k=4, density=0.5, seed=41)))
+
+        def peak():
+            tracemalloc.start()
+            try:
+                parse_instance(text)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        with_run = peak()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ioformat, "_E_RUN", _NO_RUN)
+            without_run = peak()
+        assert with_run <= 1.15 * without_run
 
 
 class TestSerialize:
