@@ -19,7 +19,7 @@ from .bench import DEFAULT_EXACT_CUTOFF, BenchConfig, run_bench, write_csv
 from .errors import (InstanceInvalidError, KPCoverError, ParseError,
                      SpecInvalidError)
 from .exact import INFEASIBLE
-from .generate import GenSpec, gen_complete_kpartite, gen_kpartite, gen_tree
+from .generate import GenSpec, _decimal, gen_complete_kpartite, gen_kpartite, gen_tree
 from .graph import Budgets, Instance, greedy_partition, validate_instance
 from .heuristic import HEURISTIC_FAILURE
 from .ioformat import parse_instance, serialize_instance
@@ -125,9 +125,7 @@ def _load_instance(path: str) -> Instance:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    report = validate_instance(_load_instance(args.path))
-    if not report.ok:
-        raise InstanceInvalidError(report)
+    report = validate_instance(_load_instance(args.path)).check()
     for w in report.warnings:
         print(f"warning: {w}")
     print("ok")
@@ -165,7 +163,7 @@ def cmd_reduce_clique(args: argparse.Namespace) -> int:
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.complete is not None:
         try:
-            sizes = tuple(int(x) for x in args.complete.split(","))
+            sizes = tuple(_decimal(x) for x in args.complete.split(","))
         except ValueError:
             raise SpecInvalidError(f"bad part sizes {args.complete!r}") from None
         inst = gen_complete_kpartite(sizes)
@@ -178,13 +176,23 @@ def cmd_gen(args: argparse.Namespace) -> int:
             raise SpecInvalidError("gen requires --n, --k and --density")
         inst = gen_kpartite(GenSpec(n=args.n, k=args.k, density=args.density,
                                     seed=args.seed, budget_mode=args.budget_mode))
-    sys.stdout.write(serialize_instance(inst))
+    text = serialize_instance(inst)
+    if not hasattr(sys.stdout, "buffer"):  # a text stream, such as io.StringIO
+        sys.stdout.write(text)
+        return EXIT_OK
+    # write the bytes until all are taken: a pipe whose reader has gone may
+    # take part of one large write without an error, and the text layer
+    # would drop that short count; writing the rest raises BrokenPipeError
+    sys.stdout.flush()
+    out, data = sys.stdout.buffer, memoryview(text.encode())
+    while data:
+        data = data[out.write(data):]
     return EXIT_OK
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
     try:
-        sizes = tuple(int(x) for x in args.sizes.split(","))
+        sizes = tuple(_decimal(x) for x in args.sizes.split(","))
     except ValueError:
         raise SpecInvalidError(f"bad sizes list {args.sizes!r}") from None
     config = BenchConfig(sizes=sizes, trials=args.trials, density=args.density,

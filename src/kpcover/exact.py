@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InstanceInvalidError
 from .graph import Graph, Instance, validate_instance
 
 FEASIBLE = "Feasible"
@@ -36,9 +35,7 @@ class ExactResult:
 
 def exact_cvck(inst: Instance) -> ExactResult:
     """Minimum-size budget-respecting vertex cover, or Infeasible if none exists."""
-    report = validate_instance(inst)
-    if not report.ok:
-        raise InstanceInvalidError(report)
+    validate_instance(inst).check()
     best, nodes = _min_cover_search(inst.graph, inst.partition.part_of,
                                     inst.budgets.limits)
     if best is None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .errors import SelfLoopError, VertexOutOfRangeError
+from .errors import InstanceInvalidError, SelfLoopError, VertexOutOfRangeError
 
 Edge = tuple[int, int]
 
@@ -158,9 +158,18 @@ class Instance:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """What validate_instance found. Violations make the instance unusable,
+    warnings do not; check() is how every entry point refuses one."""
+
     ok: bool
     violations: tuple[str, ...]
     warnings: tuple[str, ...]
+
+    def check(self) -> ValidationReport:
+        """This report if it is ok; InstanceInvalidError carrying it if not."""
+        if not self.ok:
+            raise InstanceInvalidError(self)
+        return self
 
 
 def validate_instance(inst: Instance) -> ValidationReport:
@@ -177,10 +186,8 @@ def validate_instance(inst: Instance) -> ValidationReport:
     if budgets.k != part.k:
         violations.append(f"budgets have {budgets.k} entries, partition has {part.k} parts")
     if part.n == g.n:
-        adj, parts, part_of = g.adjacency, part.parts, part.part_of
-        # a part's vertices are its set, so one disjointness test per vertex
-        # finds any intra-part edge; the edge walk below only names them
-        if not all(adj[v].isdisjoint(parts[part_of[v]]) for v in g.vertices()):
+        if _has_intra_part_edge(g, part):  # the edge walk only names them
+            part_of = part.part_of
             for u, v in g.sorted_edges():
                 if part_of[u] == part_of[v]:
                     violations.append(f"intra-part edge ({u}, {v}) in part {part_of[u]}")
@@ -190,6 +197,14 @@ def validate_instance(inst: Instance) -> ValidationReport:
     return ValidationReport(ok=not violations,
                             violations=tuple(violations),
                             warnings=tuple(warnings))
+
+
+def _has_intra_part_edge(g: Graph, part: KPartition) -> bool:
+    """True iff an edge of g joins two vertices of one part (part.n == g.n).
+    A part's vertices are its set, so one disjointness test per vertex
+    finds such an edge without walking the edges."""
+    adj, parts, part_of = g.adjacency, part.parts, part.part_of
+    return not all(adj[v].isdisjoint(parts[part_of[v]]) for v in g.vertices())
 
 
 def is_vertex_cover(g: Graph, s: Iterable[int]) -> bool:

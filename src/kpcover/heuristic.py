@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
 
-from .errors import InstanceInvalidError
 from .graph import Edge, Instance, validate_instance
 
 NOT_USED = 0
@@ -230,9 +229,7 @@ def solve_cvck(inst: Instance) -> CoverResult:
     tentatively and keep the selection only if the lookahead still sees a
     coverable remainder. Deterministic, including the operation count.
     """
-    report = validate_instance(inst)
-    if not report.ok:
-        raise InstanceInvalidError(report)
+    validate_instance(inst).check()
     state = HeuristicState(inst)
     start = state.live_mask.copy()
     for _ in range(state.n + 1):

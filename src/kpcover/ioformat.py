@@ -35,9 +35,9 @@ from __future__ import annotations
 import re
 from operator import eq
 
-from .errors import InstanceInvalidError, ParseError
-from .graph import (Budgets, Instance, build_graph, make_partition,
-                    validate_instance)
+from .errors import ParseError
+from .graph import (Budgets, Instance, _has_intra_part_edge, build_graph,
+                    make_partition, validate_instance)
 
 
 def parse_instance(text: str) -> Instance:
@@ -134,10 +134,8 @@ def parse_instance(text: str) -> Instance:
                          f"no b record for part {missing}")
     partition = make_partition(k, v_records)  # vertices 1..n, parts 1..k: no raise
     graph = build_graph(n, e_pairs)  # pairs range-checked above: no raise
-    adj, parts, part_of = graph.adjacency, partition.parts, partition.part_of
-    # a part's vertices are its set, so one disjointness test per vertex
-    # finds any intra-part edge; the file-order walk only names the first
-    if not all(adj[v].isdisjoint(parts[part_of[v]]) for v in range(1, n + 1)):
+    if _has_intra_part_edge(graph, partition):  # the file-order walk names the first
+        part_of = partition.part_of
         i, (u, v) = next((i, (u, v)) for i, (u, v) in enumerate(e_pairs)
                          if part_of[u] == part_of[v])
         raise ParseError(_e_line(text, i), "IntraPartEdge",
@@ -191,9 +189,7 @@ def _e_line(text: str, i: int) -> int:
 
 def serialize_instance(inst: Instance) -> str:
     """Canonical text form: p, then v/b/e records each in ascending order."""
-    report = validate_instance(inst)
-    if not report.ok:
-        raise InstanceInvalidError(report)
+    validate_instance(inst).check()
     g, part, budgets = inst.graph, inst.partition, inst.budgets
     lines = [f"p kpvc {g.n} {g.m} {part.k}"]
     lines += [f"v {v} {part.part_of[v]}" for v in range(1, g.n + 1)]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -235,6 +236,13 @@ class TestGen:
         out = capsys.readouterr().out
         assert sum(1 for line in out.splitlines() if line.startswith("e ")) == 6
 
+    def test_text_only_stdout(self, monkeypatch):
+        # gen writes bytes to stdout's buffer, which io.StringIO does not have
+        out = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["gen", "--complete", "2,3"]) == 0
+        assert out.getvalue().startswith("p kpvc 5 6 2\nv 1 1\n")
+
     def test_bad_spec_exits_2(self, capsys):
         assert main(["gen", "--n", "3", "--k", "5", "--density", "0.5",
                      "--seed", "1"]) == 2
@@ -244,7 +252,13 @@ class TestGen:
         (["--tree", "--seed", "1"], "--tree requires --n"),
         (["--n", "4", "--density", "0.5"], "gen requires --n, --k and --density"),
         (["--complete", ""], "bad part sizes ''"),
-    ], ids=["complete-sizes", "tree-without-n", "without-k", "complete-empty"])
+        (["--complete", "1_0,2"], "bad part sizes '1_0,2'"),
+        (["--complete", "+2,3"], "bad part sizes '+2,3'"),
+        (["--complete", " 3,2"], "bad part sizes ' 3,2'"),
+        (["--complete", "\u0663,2"], "bad part sizes '\u0663,2'"),
+    ], ids=["complete-sizes", "tree-without-n", "without-k", "complete-empty",
+            "complete-underscore", "complete-plus", "complete-space",
+            "complete-arabic-indic"])
     def test_spec_errors_exit_2(self, capsys, flags, message):
         assert main(["gen"] + flags) == 2
         captured = capsys.readouterr()
@@ -306,13 +320,14 @@ class TestProcess:
 
 
     @pytest.mark.parametrize("args, status", [
-        (["gen", "--n", "300", "--k", "3", "--density", "0.5"], (0, 1)),
+        (["gen", "--n", "300", "--k", "3", "--density", "0.5"], (1,)),
         (["solve", "tree.kpvc", "--algo", "2approx", "--output", "text"], (1,)),
     ], ids=["gen", "solve"])
     def test_stdout_closed_early_is_quiet(self, tmp_path, capsys, args, status):
-        # both outputs are far longer than a pipe holds. gen writes its text
-        # in one call, which the interpreter may cut short without an error
-        # (exit 0); solve prints again after the reader has gone (exit 1)
+        # both outputs are far longer than a pipe holds. gen writes its bytes
+        # until all are taken, so a write cut short by the closed pipe is
+        # followed by one that fails; solve prints again after the reader
+        # has gone. Either way the status is 1
         assert main(["gen", "--tree", "--n", "30000", "--seed", "1"]) == 0
         write(tmp_path, "tree.kpvc", capsys.readouterr().out)
         proc = subprocess.Popen([sys.executable, "-m", "kpcover", *args],
@@ -398,6 +413,15 @@ class TestBench:
         out_path = tmp_path / "bench.csv"
         assert main(["bench", "--sizes", "1,x", "--out", str(out_path)]) == 2
         assert capsys.readouterr().err == "error: bad sizes list '1,x'\n"
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("sizes", ["1_0,8", "+2,8", " 3,8", "\u0663,8"],
+                             ids=["underscore", "plus", "space", "arabic-indic"])
+    def test_non_decimal_sizes_exit_2(self, tmp_path, capsys, sizes):
+        # int() reads each of these fields; the budget-mode rule does not
+        out_path = tmp_path / "bench.csv"
+        assert main(["bench", "--sizes", sizes, "--out", str(out_path)]) == 2
+        assert capsys.readouterr().err == f"error: bad sizes list {sizes!r}\n"
         assert not out_path.exists()
 
     @pytest.mark.parametrize("flags, summary, csv_sha256", BENCH_PINS,

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import argparse
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kpcover import (Budgets, Instance, SelfLoopError, VertexOutOfRangeError,
-                     build_graph, complement, greedy_partition, is_clique,
-                     is_vertex_cover, make_partition, per_part_usage,
-                     respects_budgets, validate_instance)
+from kpcover import (Budgets, Instance, InstanceInvalidError, SelfLoopError,
+                     VertexOutOfRangeError, build_graph, complement, exact_cvck,
+                     greedy_partition, is_clique, is_vertex_cover, make_partition,
+                     per_part_usage, respects_budgets, serialize_instance, solve,
+                     solve_cvck, validate_instance)
+from kpcover import cli
 
 from oracles import covers_all_edges, within_budgets
 from strategies import graphs, instances
@@ -120,6 +124,40 @@ class TestValidate:
     def test_budget_arity_mismatch(self):
         inst = Instance(path3(), make_partition(2, [1, 2, 1]), Budgets((1,)))
         assert not validate_instance(inst).ok
+
+
+class TestRefusal:
+    """Every entry point refuses an invalid instance with the report validate_instance gives."""
+
+    # one intra-part edge, (1, 2) in part 1, and three budgets for two parts
+    INVALID = Instance(path3(), make_partition(2, [1, 1, 2]), Budgets((1, 1, 1)))
+    MESSAGE = ("budgets have 3 entries, partition has 2 parts; "
+               "intra-part edge (1, 2) in part 1")
+
+    @pytest.mark.parametrize("refuse", [
+        serialize_instance, solve_cvck, exact_cvck,
+        lambda inst: solve(inst, "2approx"),
+        lambda inst: cli.cmd_validate(argparse.Namespace(path="invalid.kpvc")),
+    ], ids=["serialize_instance", "solve_cvck", "exact_cvck", "solve-2approx",
+            "validate-command"])
+    def test_error_carries_the_report(self, refuse, monkeypatch):
+        # the validate command reads its instance through _load_instance
+        monkeypatch.setattr(cli, "_load_instance", lambda path: self.INVALID)
+        with pytest.raises(InstanceInvalidError) as info:
+            refuse(self.INVALID)
+        assert info.value.report == validate_instance(self.INVALID)
+        assert str(info.value) == self.MESSAGE
+
+    def test_validate_command_exits_3_with_the_violations(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_load_instance", lambda path: self.INVALID)
+        assert cli.main(["validate", "invalid.kpvc"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {self.MESSAGE}\n"
+
+    def test_check_returns_the_same_report_when_ok(self):
+        report = validate_instance(Instance(path3(), make_partition(2, [1, 2, 1]),
+                                            Budgets((0, 1))))
+        assert report.ok and report.check() is report
 
 
 class TestComplement:
