@@ -48,8 +48,8 @@ def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
 
     Duplicate pairs (in either orientation) are deduplicated silently.
     Self-loops and endpoints outside 1..n are hard errors. Input that is
-    already sorted, as canonical files give it, sorts in linear time, and
-    (u, v) tuples with u < v are stored as they are.
+    already nearly sorted, as a hand-edited file gives it, sorts in close to
+    linear time, and (u, v) tuples with u < v are stored as they are.
     """
     if n < 1:
         raise VertexOutOfRangeError(f"vertex count must be >= 1, got {n}")
@@ -72,8 +72,9 @@ def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
 
 def _sorted_graph(n: int, edges: Sequence[Edge]) -> Graph:
     """Graph from (u, v) tuples that are already ascending, distinct, in
-    1..n and have u < v, as build_graph leaves them and as the generators
-    and complement emit them; nothing is checked again."""
+    1..n and have u < v, as build_graph leaves them, as the generators and
+    complement emit them and as parse_instance reads canonical text; nothing
+    is checked again."""
     edges = tuple(edges)
     adj: list[list[int]] = [[] for _ in range(n + 1)]
     for u, v in edges:

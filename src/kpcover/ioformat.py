@@ -22,22 +22,32 @@ through the same value checks, so the fast shape only skips the tokenizing.
 
 After the p line, a run of plain e lines, each `e`, a space, 1-18 digits, a
 space, 1-18 digits and an LF, is read in chunks of at most _RUN_LINES
-lines: one match, one split and one int() pass per chunk, with the
-self-loop and 1..n checks done over the whole chunk. A chunk that fails a
-check is read line by line instead, so every error keeps its kind, line and
-message, and the cap keeps the chunk's token lists small however long the
-run. Intra-part edges are found after the loop with one set-disjointness
-test per vertex of the built graph.
+lines: one match, one split and one pass per chunk that looks each field up
+in a table from decimal text to vertex. The table is built at the first run
+from the v records read so far, so it never holds more than the file gave,
+and a hit is a vertex already checked to lie in 1..n; its int is shared by
+every edge that names it. A chunk with a self-loop or a field the table
+lacks (a leading zero, a vertex outside 1..n or one whose v record comes
+later) is read line by line instead, so every error keeps its kind, line
+and message, and the cap keeps the chunk's token lists small however long
+the run.
+
+Canonical text gives its pairs with u < v and strictly ascending; then they
+are the graph's edge order as read and build_graph's orienting, sorting and
+de-duplication are skipped. Other text goes through build_graph. Intra-part
+edges are found after the loop with one set-disjointness test per vertex of
+the built graph.
 """
 
 from __future__ import annotations
 
 import re
-from operator import eq
+from itertools import chain, islice, starmap
+from operator import eq, lt
 
 from .errors import ParseError
-from .graph import (Budgets, Instance, _has_intra_part_edge, build_graph,
-                    make_partition, validate_instance)
+from .graph import (Budgets, Instance, _has_intra_part_edge, _sorted_graph,
+                    build_graph, make_partition, validate_instance)
 
 
 def parse_instance(text: str) -> Instance:
@@ -46,6 +56,7 @@ def parse_instance(text: str) -> Instance:
     v_records: dict[int, int] = {}
     b_records: dict[int, int] = {}
     e_pairs: list[tuple[int, int]] = []
+    ids: dict[str, int] | None = None  # decimal text -> vertex, at the first run
     lineno = pos = bulk_from = 0
     size = len(text)
 
@@ -53,7 +64,9 @@ def parse_instance(text: str) -> Instance:
         if header is not None and pos >= bulk_from:
             run = _E_RUN.match(text, pos)
             if run is not None:
-                pairs = _run_pairs(run[0], n)
+                if ids is None:
+                    ids = {str(v): v for v in v_records}
+                pairs = _run_pairs(run[0], ids)
                 if pairs is not None:
                     e_pairs += pairs
                     lineno += len(pairs)
@@ -133,7 +146,10 @@ def parse_instance(text: str) -> Instance:
         raise ParseError(p_lineno, "MissingBudget",
                          f"no b record for part {missing}")
     partition = make_partition(k, v_records)  # vertices 1..n, parts 1..k: no raise
-    graph = build_graph(n, e_pairs)  # pairs range-checked above: no raise
+    if all(starmap(lt, e_pairs)) and all(map(lt, e_pairs, islice(e_pairs, 1, None))):
+        graph = _sorted_graph(n, e_pairs)  # canonical: none to orient, sort or merge
+    else:
+        graph = build_graph(n, e_pairs)  # pairs range-checked above: no raise
     if _has_intra_part_edge(graph, partition):  # the file-order walk names the first
         part_of = partition.part_of
         i, (u, v) = next((i, (u, v)) for i, (u, v) in enumerate(e_pairs)
@@ -164,13 +180,17 @@ _RUN_LINES = 1024
 _E_RUN = re.compile(r"(?:e [0-9]{1,18} [0-9]{1,18}\n){1,%d}" % _RUN_LINES)
 
 
-def _run_pairs(run: str, n: int) -> list[tuple[int, int]] | None:
-    """The (u, v) pairs of an _E_RUN match, or None when one of them is a
-    self-loop or leaves 1..n; the caller then reads the run line by line."""
+def _run_pairs(run: str, ids: dict[str, int]) -> list[tuple[int, int]] | None:
+    """The (u, v) pairs of an _E_RUN match, each field mapped through ids
+    (decimal text -> vertex), or None when a field is not in ids or a pair
+    is a self-loop; the caller then reads the run line by line."""
     fields = run.split()
-    us = list(map(int, fields[1::3]))
-    vs = list(map(int, fields[2::3]))
-    if any(map(eq, us, vs)) or min(min(us), min(vs)) < 1 or max(max(us), max(vs)) > n:
+    try:
+        us = list(map(ids.__getitem__, fields[1::3]))
+        vs = list(map(ids.__getitem__, fields[2::3]))
+    except KeyError:
+        return None
+    if any(map(eq, us, vs)):
         return None
     return list(zip(us, vs))
 
@@ -191,11 +211,12 @@ def serialize_instance(inst: Instance) -> str:
     """Canonical text form: p, then v/b/e records each in ascending order."""
     validate_instance(inst).check()
     g, part, budgets = inst.graph, inst.partition, inst.budgets
-    lines = [f"p kpvc {g.n} {g.m} {part.k}"]
-    lines += [f"v {v} {part.part_of[v]}" for v in range(1, g.n + 1)]
-    lines += [f"b {p} {budgets.limits[p - 1]}" for p in range(1, part.k + 1)]
-    lines += [f"e {u} {v}" for u, v in g.sorted_edges()]
-    return "\n".join(lines) + "\n"
+    n, m, k, flat = g.n, g.m, part.k, chain.from_iterable
+    # one % over the whole text: per-kind pieces joined afterwards made
+    # kpbench's peak RSS grow faster with the instance count
+    fmt = "".join(("p kpvc %d %d %d\n", "v %d %d\n" * n, "b %d %d\n" * k, "e %d %d\n" * m))
+    return fmt % (n, m, k, *flat(zip(range(1, n + 1), part.part_of[1:])),
+                  *flat(zip(range(1, k + 1), budgets.limits)), *flat(g.sorted_edges()))
 
 
 # int() would also take "+1", "0_2" and non-ASCII digits, which the grammar

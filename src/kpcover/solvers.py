@@ -11,7 +11,8 @@ has none, ignores budgets, and reports budget_violation instead. An
 infeasible exact result has `cover: []`, `size: null` and
 `per_part_usage: null`. Every algorithm raises InstanceInvalidError for an
 instance that fails validate_instance. wall_ms times the solver call and
-the few attribute reads that unpack its result.
+the few attribute reads that unpack its result; for every algorithm it
+includes exactly one validate_instance.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ def solve(inst: Instance, algo: str) -> dict[str, Any]:
     """Run one of ALGOS on inst; ValueError for any other name."""
     if algo not in ALGOS:
         raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGOS}")
-    if algo == "2approx":  # solve_cvck and exact_cvck validate their input
-        validate_instance(inst).check()
     t0 = time.perf_counter()
     if algo == "cvck":
         res = solve_cvck(inst)
@@ -43,7 +42,8 @@ def solve(inst: Instance, algo: str) -> dict[str, Any]:
         res = exact_cvck(inst)
         status, cover = res.status, res.cover or frozenset()
         effort = {"nodes_explored": res.nodes_explored}
-    else:
+    else:  # solve_cvck and exact_cvck validate their input
+        validate_instance(inst).check()
         cover = two_approx_vc(inst.graph)
         status, effort = SUCCESS, {}
     wall_ms = (time.perf_counter() - t0) * 1000.0

@@ -7,6 +7,7 @@ import random
 import re
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,7 +15,9 @@ from kpcover import (ALGOS, Budgets, GenSpec, Instance, InstanceInvalidError,
                      ParseError, build_graph, gen_kpartite, make_partition,
                      parse_instance, serialize_instance, solve,
                      validate_instance)
-from kpcover import ioformat
+from kpcover import ioformat, solvers
+
+from test_generate import _large_specs
 
 MINIMAL = """p kpvc 2 1 2
 v 1 1
@@ -187,6 +190,8 @@ class TestParse:
     @pytest.mark.parametrize("text, kind, message", [
         ("p kpvc 1000000 0 1\n", "MissingVertexAssignment", "vertex 1"),
         ("p kpvc 1 0 1000000\nv 1 1\n", "MissingBudget", "part 1"),
+        # the e run's vertex table holds the v records read, not 1..n
+        ("p kpvc 1000000000000 1 1\ne 1 2\n", "MissingVertexAssignment", "vertex 1"),
     ])
     def test_missing_records_cost_memory_of_the_file_not_the_header(
             self, text, kind, message):
@@ -282,8 +287,8 @@ class _PlainCounter:
     def finditer(self, text):  # the error path's re-read, not counted
         return self.line.finditer(text)
 
-    def pairs(self, run, n):
-        pairs = self.run_pairs(run, n)
+    def pairs(self, run, ids):
+        pairs = self.run_pairs(run, ids)
         self.plain += 0 if pairs is None else len(pairs)
         return pairs
 
@@ -412,6 +417,13 @@ def _run_text(m, edit=None, at=None):
         lines[at] = f"e 0 {v}"
     elif edit == "19-digit":
         lines[at] = f"e {u:019d} {v}"
+    elif edit == "leading-zero":
+        lines[at] = f"e 0{u} {v}"
+    elif edit == "reversed":
+        lines[at] = f"e {v} {u}"
+    elif edit == "out-of-order":
+        j = at - 1 if at else 1
+        lines[at], lines[j] = lines[j], lines[at]
     elif edit == "cr":
         lines[at] += "\r"
     elif edit == "comment":
@@ -439,8 +451,8 @@ class TestBulkRun:
         """(outcome, sizes of the runs read in bulk, outcome with no run)."""
         sizes, read = [], ioformat._run_pairs
 
-        def run_pairs(run, n):
-            pairs = read(run, n)
+        def run_pairs(run, ids):
+            pairs = read(run, ids)
             sizes.append(None if pairs is None else len(pairs))
             return pairs
 
@@ -462,6 +474,7 @@ class TestBulkRun:
     @pytest.mark.parametrize("edit, kind", [
         ("self-loop", "Syntax"), ("out-of-range", "Syntax"), ("vertex-0", "Syntax"),
         ("19-digit", None), ("cr", None), ("comment", None),
+        ("leading-zero", None), ("reversed", None), ("out-of-order", None),
         ("intra-part", "IntraPartEdge"), ("repeated", "DuplicateRecord")])
     def test_edited_record(self, edit, kind, at):
         outcome, sizes, expected = self.outcomes(_run_text(3 * self.CHUNK + 1, edit, at))
@@ -472,8 +485,32 @@ class TestBulkRun:
             # 123 lines come before the run; a repeat at its first line
             # names its second occurrence, the next line
             assert outcome[:2] == (kind, 124 + at + (edit == "repeated" and at == 0))
-        # a self-loop or a vertex outside 1..n refuses its chunk
-        assert (None in sizes) == (kind == "Syntax")
+        # a self-loop, a vertex outside 1..n or a field not written as its
+        # vertex's decimal text refuses its chunk
+        assert (None in sizes) == (kind == "Syntax" or edit == "leading-zero")
+
+    @pytest.mark.parametrize("edit, built", [
+        (None, 0), ("reversed", 1), ("out-of-order", 1)])
+    def test_build_graph_only_off_canonical_order(self, edit, built, monkeypatch):
+        calls = []
+
+        def counting(n, pairs):
+            calls.append(n)
+            return build_graph(n, pairs)
+
+        monkeypatch.setattr(ioformat, "build_graph", counting)
+        inst = parse_instance(_run_text(3 * self.CHUNK + 1, edit, self.CHUNK))
+        assert inst.graph.m == 3 * self.CHUNK + 1 and len(calls) == built
+
+    def test_v_records_after_the_first_run(self):
+        # the table is built from the v records of vertices 1..60 only, so
+        # every chunk naming a later vertex is read line by line
+        lines = _run_text(3 * self.CHUNK + 1).splitlines(keepends=True)
+        late_v, e_start = lines[61:121], 123 + self.CHUNK
+        text = "".join(lines[:61] + lines[121:e_start] + late_v + lines[e_start:])
+        outcome, sizes, expected = self.outcomes(text)
+        assert outcome == expected and outcome.graph.m == 3 * self.CHUNK + 1
+        assert sizes[0] is None
 
     def test_no_final_lf(self):
         m = 2 * self.CHUNK
@@ -481,8 +518,10 @@ class TestBulkRun:
         assert outcome == expected and outcome.graph.m == m
         assert sizes == [self.CHUNK, self.CHUNK - 1]  # the last line has no LF
 
-    def test_chunk_memory_is_bounded(self):
-        text = serialize_instance(gen_kpartite(GenSpec(n=200, k=4, density=0.5, seed=41)))
+    @staticmethod
+    def peaks(spec):
+        """tracemalloc peaks of parsing spec's text with and without the run."""
+        text = serialize_instance(gen_kpartite(spec))
 
         def peak():
             tracemalloc.start()
@@ -495,8 +534,17 @@ class TestBulkRun:
         with_run = peak()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ioformat, "_E_RUN", _NO_RUN)
-            without_run = peak()
+            return with_run, peak()
+
+    def test_chunk_memory_is_bounded(self):
+        with_run, without_run = self.peaks(GenSpec(n=200, k=4, density=0.5, seed=41))
         assert with_run <= 1.15 * without_run
+
+    def test_endpoints_share_the_vertex_ints(self):
+        # ids above 256 read by int() are one object per endpoint; through
+        # the table every edge holds its vertex's one int
+        with_run, without_run = self.peaks(GenSpec(n=600, k=4, density=0.5, seed=41))
+        assert with_run <= 0.9 * without_run
 
 
 class TestSerialize:
@@ -508,6 +556,13 @@ class TestSerialize:
         for seed in range(50):
             inst = gen_kpartite(GenSpec(n=12, k=3, density=0.5, seed=seed))
             assert parse_instance(serialize_instance(inst)) == inst
+
+    @pytest.mark.parametrize("spec", _large_specs())
+    def test_round_trip_keeps_adjacency(self, spec):
+        # Graph equality leaves adjacency out
+        inst = gen_kpartite(spec)
+        parsed = parse_instance(serialize_instance(inst))
+        assert parsed == inst and parsed.graph.adjacency == inst.graph.adjacency
 
     def test_rejects_invalid_instance(self):
         bad = Instance(build_graph(2, [(1, 2)]), make_partition(1, [1, 1]),
@@ -565,19 +620,25 @@ class TestEmitResult:
 
     @pytest.mark.parametrize("algo", ALGOS)
     def test_validates_once(self, algo, monkeypatch):
+        """One validate_instance, between the two clock reads of wall_ms."""
         calls = []
 
         def counting(inst):
             calls.append(inst)
             return validate_instance(inst)
 
+        def clock():
+            calls.append("clock")
+            return 0.0
+
         # every module that bound the name at import, so no call goes uncounted
         for name, module in list(sys.modules.items()):
             if name.startswith("kpcover.") and hasattr(module, "validate_instance"):
                 monkeypatch.setattr(module, "validate_instance", counting)
+        monkeypatch.setattr(solvers, "time", SimpleNamespace(perf_counter=clock))
         inst = self.inst()
         solve(inst, algo)
-        assert calls == [inst]
+        assert calls == ["clock", inst, "clock"]
 
     def test_unknown_algo(self):
         with pytest.raises(ValueError):
