@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import astuple, dataclass, fields
 from typing import IO
 
+from .errors import SpecInvalidError
 from .generate import GenSpec, SplitMix64, gen_kpartite, gen_tree
 from .heuristic import HEURISTIC_FAILURE
 from .solvers import ALGOS, solve
@@ -58,8 +59,11 @@ def run_bench(config: BenchConfig) -> tuple[list[BenchRecord], str]:
     Instance seeds are drawn from one SplitMix64 stream keyed by the config
     seed, in (size, trial) order, so the ensemble is reproducible. Records
     are emitted in (size, trial, cvck/exact/2approx) order. Returns the
-    records and the summary text computed from them.
+    records and the summary text computed from them. Sizes must be
+    distinct, because an instance id names only its size and trial.
     """
+    if len(set(config.sizes)) < len(config.sizes):
+        raise SpecInvalidError(f"repeated size in sizes {list(config.sizes)}")
     master = SplitMix64(config.seed)
     records: list[BenchRecord] = []
 

@@ -19,10 +19,10 @@ from .bench import DEFAULT_EXACT_CUTOFF, BenchConfig, run_bench, write_csv
 from .errors import (InstanceInvalidError, KPCoverError, ParseError,
                      SpecInvalidError)
 from .exact import INFEASIBLE
-from .generate import GenSpec, _decimal, gen_complete_kpartite, gen_kpartite, gen_tree
+from .generate import GenSpec, gen_complete_kpartite, gen_kpartite, gen_tree
 from .graph import Budgets, Instance, greedy_partition, validate_instance
 from .heuristic import HEURISTIC_FAILURE
-from .ioformat import parse_instance, serialize_instance
+from .ioformat import _decimal, parse_instance, serialize_instance
 from .reduction import reduce_clique_to_vc
 from .solvers import ALGOS, solve
 
@@ -83,15 +83,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce-clique",
                        help="write the complement instance for the clique question (g, k)")
     p.add_argument("path")
-    p.add_argument("--k", type=int, required=True, help="clique size to decide")
+    p.add_argument("--k", type=_decimal, required=True, help="clique size to decide")
     p.add_argument("--out", required=True, help="output instance path")
     p.set_defaults(func=cmd_reduce_clique)
 
     p = sub.add_parser("gen", help="generate an instance file on stdout")
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
+    p.add_argument("--n", type=_decimal)
+    p.add_argument("--k", type=_decimal)
     p.add_argument("--density", type=float)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_decimal, default=0)
     p.add_argument("--budget-mode", default="slack:1")
     p.add_argument("--tree", action="store_true", help="random tree instead of k-partite")
     p.add_argument("--complete", help="complete k-partite with these part sizes, e.g. 2,3")
@@ -99,13 +99,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run an ensemble and write per-record CSV")
     p.add_argument("--sizes", required=True, help="comma-separated n values")
-    p.add_argument("--trials", type=int, default=5)
+    p.add_argument("--trials", type=_decimal, default=5)
     p.add_argument("--density", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_decimal, default=0)
     p.add_argument("--budget-mode", default="slack:1")
-    p.add_argument("--k", type=int, default=3)
+    p.add_argument("--k", type=_decimal, default=3)
     p.add_argument("--tree", action="store_true")
-    p.add_argument("--exact-cutoff", type=int, default=DEFAULT_EXACT_CUTOFF)
+    p.add_argument("--exact-cutoff", type=_decimal, default=DEFAULT_EXACT_CUTOFF)
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(func=cmd_bench)
 
@@ -122,6 +122,14 @@ def _load_instance(path: str) -> Instance:
         raise ParseError(line, "Syntax",
                          f"invalid UTF-8 byte 0x{data[exc.start]:02x}") from None
     return parse_instance(text)
+
+
+def _decimal_list(text: str, what: str) -> tuple[int, ...]:
+    """The comma-separated decimals of an option, or SpecInvalidError."""
+    try:
+        return tuple(map(_decimal, text.split(",")))
+    except ValueError:
+        raise SpecInvalidError(f"{what} {text!r}") from None
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -162,11 +170,7 @@ def cmd_reduce_clique(args: argparse.Namespace) -> int:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.complete is not None:
-        try:
-            sizes = tuple(_decimal(x) for x in args.complete.split(","))
-        except ValueError:
-            raise SpecInvalidError(f"bad part sizes {args.complete!r}") from None
-        inst = gen_complete_kpartite(sizes)
+        inst = gen_complete_kpartite(_decimal_list(args.complete, "bad part sizes"))
     elif args.tree:
         if args.n is None:
             raise SpecInvalidError("--tree requires --n")
@@ -191,11 +195,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    try:
-        sizes = tuple(_decimal(x) for x in args.sizes.split(","))
-    except ValueError:
-        raise SpecInvalidError(f"bad sizes list {args.sizes!r}") from None
-    config = BenchConfig(sizes=sizes, trials=args.trials, density=args.density,
+    config = BenchConfig(sizes=_decimal_list(args.sizes, "bad sizes list"),
+                         trials=args.trials, density=args.density,
                          seed=args.seed, budget_mode=args.budget_mode,
                          k=args.k, tree=args.tree,
                          exact_cutoff=args.exact_cutoff)

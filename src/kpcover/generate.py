@@ -46,6 +46,7 @@ from .errors import SpecInvalidError
 from .exact import exact_min_vc
 from .graph import (Budgets, Graph, Instance, KPartition, _sorted_graph,
                     build_graph, make_partition, per_part_usage)
+from .ioformat import _decimal
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -122,15 +123,6 @@ def parse_budget_mode(mode: str) -> tuple[str, int | None, tuple[int, ...] | Non
             raise SpecInvalidError("fixed limits must be >= 0")
         return "fixed", None, limits
     raise SpecInvalidError(f"unknown budget mode {mode!r}")
-
-
-def _decimal(field: str) -> int:
-    """int(field) for ASCII digits after an optional '-'; int() alone would
-    also take '+1', ' 1', '1_0' and non-ASCII digits."""
-    digits = field.removeprefix("-")
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(field)
-    return int(field)
 
 
 def derive_budgets(graph: Graph, partition: KPartition, mode: str) -> Budgets:

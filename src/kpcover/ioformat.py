@@ -20,17 +20,17 @@ the match groups; any other line (comment, p line, CR, tabs, repeated
 spaces, signs or long fields) is split into tokens. Both shapes then go
 through the same value checks, so the fast shape only skips the tokenizing.
 
-After the p line, a run of plain e lines, each `e`, a space, 1-18 digits, a
-space, 1-18 digits and an LF, is read in chunks of at most _RUN_LINES
-lines: one match, one split and one pass per chunk that looks each field up
-in a table from decimal text to vertex. The table is built at the first run
-from the v records read so far, so it never holds more than the file gave,
-and a hit is a vertex already checked to lie in 1..n; its int is shared by
-every edge that names it. A chunk with a self-loop or a field the table
-lacks (a leading zero, a vertex outside 1..n or one whose v record comes
-later) is read line by line instead, so every error keeps its kind, line
-and message, and the cap keeps the chunk's token lists small however long
-the run.
+After the last of the n v records, a run of plain e lines, each `e`, a
+space, 1-18 digits, a space, 1-18 digits and an LF, is read in chunks of at
+most _RUN_LINES lines: one match, one split and one pass per chunk that
+looks each field up in a table from decimal text to vertex. The table is
+built when the n-th v record is read, from those records, so it never holds
+more than the file gave, and a hit is a vertex already checked to lie in
+1..n; its int is shared by every edge that names it. e lines before that
+point are read line by line. A chunk with a self-loop or a field the table
+lacks (a leading zero or a vertex outside 1..n) is read line by line
+instead, so every error keeps its kind, line and message, and the cap keeps
+the chunk's token lists small however long the run.
 
 Canonical text gives its pairs with u < v and strictly ascending; then they
 are the graph's edge order as read and build_graph's orienting, sorting and
@@ -56,16 +56,14 @@ def parse_instance(text: str) -> Instance:
     v_records: dict[int, int] = {}
     b_records: dict[int, int] = {}
     e_pairs: list[tuple[int, int]] = []
-    ids: dict[str, int] | None = None  # decimal text -> vertex, at the first run
+    ids: dict[str, int] | None = None  # decimal text -> vertex, once all are read
     lineno = pos = bulk_from = 0
     size = len(text)
 
     while pos < size:
-        if header is not None and pos >= bulk_from:
+        if ids is not None and pos >= bulk_from:
             run = _E_RUN.match(text, pos)
             if run is not None:
-                if ids is None:
-                    ids = {str(v): v for v in v_records}
                 pairs = _run_pairs(run[0], ids)
                 if pairs is not None:
                     e_pairs += pairs
@@ -120,6 +118,8 @@ def parse_instance(text: str) -> Instance:
             if x in v_records:
                 raise ParseError(lineno, "DuplicateRecord", f"vertex {x} assigned twice")
             v_records[x] = y
+            if len(v_records) == n:  # every vertex read: bulk e runs may start
+                ids = {str(v): v for v in v_records}
         else:
             if not (0 < x <= k):
                 raise ParseError(lineno, "Syntax", f"part {x} outside 1..{k}")
@@ -182,8 +182,9 @@ _E_RUN = re.compile(r"(?:e [0-9]{1,18} [0-9]{1,18}\n){1,%d}" % _RUN_LINES)
 
 def _run_pairs(run: str, ids: dict[str, int]) -> list[tuple[int, int]] | None:
     """The (u, v) pairs of an _E_RUN match, each field mapped through ids
-    (decimal text -> vertex), or None when a field is not in ids or a pair
-    is a self-loop; the caller then reads the run line by line."""
+    (decimal text -> vertex, for every vertex 1..n), or None when a field
+    is not in ids or a pair is a self-loop; the caller then reads the run
+    line by line."""
     fields = run.split()
     try:
         us = list(map(ids.__getitem__, fields[1::3]))
@@ -199,8 +200,7 @@ def _e_line(text: str, i: int) -> int:
     """Line of the i-th e record (from 0), found again only for an error:
     the loop read every plain e match and raw line led by token e as one."""
     for lineno, line in enumerate(_LINE.finditer(text), 1):
-        kind, _, _, raw = line.groups()
-        if kind == "e" or kind is None and raw.split()[:1] == ["e"]:
+        if line[0].split()[:1] == ["e"]:
             if i == 0:
                 return lineno
             i -= 1
@@ -219,15 +219,22 @@ def serialize_instance(inst: Instance) -> str:
                   *flat(zip(range(1, k + 1), budgets.limits)), *flat(g.sorted_edges()))
 
 
-# int() would also take "+1", "0_2" and non-ASCII digits, which the grammar
-# forbids; one match per line costs less than one per token
-_DECIMALS = re.compile(r"-?[0-9]+(?: -?[0-9]+)*")
+# the one rule for integers from text: instance fields, budget modes and
+# the command line's options
+def _decimal(field: str) -> int:
+    """int(field) for ASCII digits after an optional '-'; int() alone would
+    also take '+1', ' 1', '1_0' and non-ASCII digits."""
+    digits = field.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(field)
+    return int(field)
 
 
 def _ints(lineno: int, tokens: list[str]) -> list[int]:
-    if not _DECIMALS.fullmatch(" ".join(tokens)):
-        raise ParseError(lineno, "Syntax", f"non-integer field in {tokens}")
     try:
-        return [int(t) for t in tokens]
-    except ValueError:  # more digits than the interpreter's int() limit
+        return [_decimal(t) for t in tokens]
+    except ValueError as exc:
+        if exc.args[0] in tokens:  # _decimal names the field it refused
+            raise ParseError(lineno, "Syntax", f"non-integer field in {tokens}") from None
+        # more digits than the interpreter's int() limit
         raise ParseError(lineno, "Syntax", "integer field too long") from None

@@ -15,7 +15,9 @@ import pytest
 import kpcover
 from kpcover.cli import main
 from kpcover.errors import SelfLoopError
+from kpcover.generate import GenSpec, gen_kpartite
 from kpcover.graph import ValidationReport
+from kpcover.ioformat import serialize_instance
 
 SRC = str(Path(kpcover.__file__).resolve().parents[1])
 
@@ -415,6 +417,15 @@ class TestBench:
         assert capsys.readouterr().err == "error: bad sizes list '1,x'\n"
         assert not out_path.exists()
 
+    def test_repeated_size_exits_2(self, tmp_path, capsys):
+        # each size's trials are named kp-n<size>-t<trial>, so a repeat
+        # would give two instances one id
+        out_path = tmp_path / "bench.csv"
+        assert main(["bench", "--sizes", "3,3", "--trials", "1",
+                     "--out", str(out_path)]) == 2
+        assert capsys.readouterr().err == "error: repeated size in sizes [3, 3]\n"
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("sizes", ["1_0,8", "+2,8", " 3,8", "\u0663,8"],
                              ids=["underscore", "plus", "space", "arabic-indic"])
     def test_non_decimal_sizes_exit_2(self, tmp_path, capsys, sizes):
@@ -433,3 +444,45 @@ class TestBench:
         assert capsys.readouterr().out == summary
         rows = "".join(line + "\n" for line in strip_wall_ms(out_path.read_text()))
         assert hashlib.sha256(rows.encode()).hexdigest() == csv_sha256
+
+
+class TestIntegerOptions:
+    """Every integer option takes the instance grammar's ASCII decimals."""
+
+    # (subcommand flags that are valid without the option, the option);
+    # int() would read each bad value below as a value these flags accept
+    OPTIONS = [
+        (["gen", "--k", "2", "--density", "0.5"], "--n"),
+        (["gen", "--n", "12", "--density", "0.5"], "--k"),
+        (["gen", "--n", "12", "--k", "2", "--density", "0.5"], "--seed"),
+        (["bench", "--sizes", "4"], "--trials"),
+        (["bench", "--sizes", "4", "--trials", "1"], "--seed"),
+        (["bench", "--sizes", "4", "--trials", "1"], "--k"),
+        (["bench", "--sizes", "4", "--trials", "1"], "--exact-cutoff"),
+        (["reduce-clique", "PATH"], "--k"),
+    ]
+
+    @pytest.mark.parametrize("value", ["1_0", "+4", " 4", "\u0663"],
+                             ids=["underscore", "plus", "space", "arabic-indic"])
+    @pytest.mark.parametrize("flags, option", OPTIONS, ids=[
+        "gen-n", "gen-k", "gen-seed", "bench-trials", "bench-seed", "bench-k",
+        "bench-exact-cutoff", "reduce-clique-k"])
+    def test_non_decimal_value_exits_2(self, tmp_path, capsys, flags, option, value):
+        spec = GenSpec(n=12, k=3, density=0.5, seed=1)  # room for a clique size 10
+        path = write(tmp_path, "g.kpvc", serialize_instance(gen_kpartite(spec)))
+        out_path = tmp_path / "out"
+        flags = [path if flag == "PATH" else flag for flag in flags]
+        if flags[0] != "gen":
+            flags += ["--out", str(out_path)]
+        with pytest.raises(SystemExit) as exit_info:
+            main([*flags, option, value])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out_path.exists()
+        assert f"argument {option}: invalid _decimal value: {value!r}" in captured.err
+
+    def test_negative_seed_gives_the_spec_bytes(self, capsys):
+        assert main(["gen", "--n", "9", "--k", "3", "--density", "0.5",
+                     "--seed", "-7"]) == 0
+        spec = GenSpec(n=9, k=3, density=0.5, seed=-7)
+        assert capsys.readouterr().out == serialize_instance(gen_kpartite(spec))
