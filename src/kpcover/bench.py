@@ -60,10 +60,13 @@ def run_bench(config: BenchConfig) -> tuple[list[BenchRecord], str]:
     seed, in (size, trial) order, so the ensemble is reproducible. Records
     are emitted in (size, trial, cvck/exact/2approx) order. Returns the
     records and the summary text computed from them. Sizes must be
-    distinct, because an instance id names only its size and trial.
+    distinct, because an instance id names only its size and trial, and
+    trials at least 1, so that the ensemble is not empty.
     """
     if len(set(config.sizes)) < len(config.sizes):
         raise SpecInvalidError(f"repeated size in sizes {list(config.sizes)}")
+    if config.trials < 1:
+        raise SpecInvalidError(f"trials must be >= 1, got {config.trials}")
     master = SplitMix64(config.seed)
     records: list[BenchRecord] = []
 

@@ -129,7 +129,7 @@ def exact_max_clique(g: Graph) -> frozenset[int]:
     for the tie-break. The search keeps its own stack, one frame per level:
     that level's candidates and the index of the next one to try.
     """
-    adj = g.adjacency
+    adj = list(map(set, g.adjacency))
     best: tuple[int, ...] = ()
     current: list[int] = []
     stack: list[tuple[list[int], int]] = [(list(range(1, g.n + 1)), 0)]

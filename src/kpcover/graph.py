@@ -11,6 +11,7 @@ view keep their own overlay.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -24,13 +25,15 @@ class Graph:
     """Simple undirected graph on vertices 1..n.
 
     edge_order holds every edge once, ascending, and is what equality and
-    hashing compare. adjacency[v] is the neighbor set of v (index 0 is an
-    unused placeholder so vertex ids index directly).
+    hashing compare. adjacency[v] is the ascending tuple of v's neighbors
+    (index 0 is an unused, empty placeholder so vertex ids index directly).
+    Tuples of ints cost a fraction of frozensets and leave the cyclic GC's
+    tracking; a reader that tests membership builds its own set.
     """
 
     n: int
     edge_order: tuple[Edge, ...]
-    adjacency: tuple[frozenset[int], ...] = field(compare=False)
+    adjacency: tuple[tuple[int, ...], ...] = field(compare=False)
 
     @property
     def m(self) -> int:
@@ -74,21 +77,24 @@ def _sorted_graph(n: int, edges: Sequence[Edge]) -> Graph:
     """Graph from (u, v) tuples that are already ascending, distinct, in
     1..n and have u < v, as build_graph leaves them, as the generators and
     complement emit them and as parse_instance reads canonical text; nothing
-    is checked again."""
+    is checked again. In ascending edge order each neighbor list is appended
+    in ascending order: v's smaller neighbors u arrive with edges (u, v),
+    sorted by u, before its larger ones, sorted by the second endpoint."""
     edges = tuple(edges)
     adj: list[list[int]] = [[] for _ in range(n + 1)]
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    return Graph(n=n, edge_order=edges, adjacency=tuple(map(frozenset, adj)))
+    return Graph(n=n, edge_order=edges, adjacency=tuple(map(tuple, adj)))
 
 
 def complement(g: Graph) -> Graph:
     """Graph on the same vertices whose edge set is inverted over all pairs."""
+    nbrs = list(map(set, g.adjacency))
     missing = [(u, v)
                for u in range(1, g.n + 1)
                for v in range(u + 1, g.n + 1)
-               if v not in g.adjacency[u]]
+               if v not in nbrs[u]]
     return _sorted_graph(g.n, missing)
 
 
@@ -202,10 +208,18 @@ def validate_instance(inst: Instance) -> ValidationReport:
 
 def _has_intra_part_edge(g: Graph, part: KPartition) -> bool:
     """True iff an edge of g joins two vertices of one part (part.n == g.n).
-    A part's vertices are its set, so one disjointness test per vertex
-    finds such an edge without walking the edges."""
-    adj, parts, part_of = g.adjacency, part.parts, part.part_of
-    return not all(adj[v].isdisjoint(parts[part_of[v]]) for v in g.vertices())
+    Edge (u, v) with u < v lies in the ascending tail of adjacency[u] past
+    u, so a part holds an edge iff it meets its members' tails: one set per
+    part, each edge hashed once, and no walk over the edges."""
+    adj = g.adjacency
+    for members in part.parts:
+        later: set[int] = set()
+        for u in members:
+            nbrs = adj[u]
+            later.update(nbrs[bisect(nbrs, u):])
+        if not members.isdisjoint(later):
+            return True
+    return False
 
 
 def is_vertex_cover(g: Graph, s: Iterable[int]) -> bool:
@@ -216,10 +230,10 @@ def is_vertex_cover(g: Graph, s: Iterable[int]) -> bool:
 
 def is_clique(g: Graph, s: Iterable[int]) -> bool:
     """True iff every pair of vertices in s is an edge of g."""
-    ordered = sorted(_checked_subset(g, s))
-    return all(ordered[j] in g.adjacency[ordered[i]]
-               for i in range(len(ordered))
-               for j in range(i + 1, len(ordered)))
+    sset = _checked_subset(g, s)
+    # no self-loops: v is joined to every other member iff it has |s| - 1
+    # neighbors in s
+    return all(len(sset.intersection(g.adjacency[v])) == len(sset) - 1 for v in sset)
 
 
 def respects_budgets(inst: Instance, s: Iterable[int]) -> bool:

@@ -11,10 +11,11 @@ covered greedily within the residual part budgets; if not, the selection is
 undone, the stashed edges are restored bit for bit, and the vertex is retired
 NOT_SELECTED.
 
-The NOT_USED vertices are kept twice over, as an ascending list `open` and one
-ascending list per part, `open_in_part[p]`; a vertex leaves both once, on its
-one retirement from NOT_USED. extract_max reads live degrees over `open`
-only, and the lookahead reads each part's candidates from `open_in_part`.
+The NOT_USED vertices are kept three times over: as an ascending list `open`,
+one ascending list per part, `open_in_part[p]`, and one bitmask per part,
+`open_mask[p]`; a vertex leaves all three once, on its one retirement from
+NOT_USED. extract_max reads live degrees over `open` only, and the lookahead
+reads each part's candidates from `open_in_part`.
 
 The lookahead batches its picks by part. Every part is an independent set
 (validate_instance rejects intra-part edges), so a pick never changes how
@@ -22,9 +23,10 @@ many unvisited edges another member of its own part touches. make_decision
 therefore counts each part's candidates once per call: the first part it
 ranks reads live_degree, later parts take one popcount of a live-neighbour
 bitmask per NOT_USED member. A part whose positive members all fit in its
-residual budget needs no sort at all; only a part that must be truncated is
-ranked. The picks, the verdict and op_count are the same as rescanning the
-part and walking the pick's edges after every pick.
+residual budget needs no sort at all, and joins the picks as its whole
+open_mask; only a part that must be truncated is ranked. The picks, the
+verdict and op_count are the same as rescanning the part and walking the
+pick's edges after every pick.
 
 The heuristic can paint itself into a corner; that surfaces as a
 HeuristicFailure result carrying the uncovered edges, never as
@@ -40,8 +42,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress
-from operator import itemgetter
+from operator import itemgetter, sub
 
 from .graph import Edge, Instance, validate_instance
 
@@ -78,8 +79,10 @@ class HeuristicState:
     counts those bits and live_count the live edges. state[v] holds the
     tri-state label, b[p] the selected count of part p, stash the neighbours
     whose edges to the current tentative selection it removed. open lists the
-    NOT_USED vertices in ascending order and open_in_part[p] those of part p;
-    retire is the only way out of NOT_USED, and it updates both.
+    NOT_USED vertices in ascending order, open_in_part[p] those of part p and
+    bit v of open_mask[p] is set while v is one of them; retire is the only
+    way out of NOT_USED, and it updates all three. The masks take at most
+    one bit per vertex id per part, k * n bits in all.
     """
 
     def __init__(self, inst: Instance):
@@ -99,15 +102,18 @@ class HeuristicState:
                               for p in range(self.k + 1)]
         self.open = list(range(1, self.n + 1))
         self.open_in_part = [list(members) for members in self.part_vertices]
+        self.open_mask = [sum(1 << v for v in members) for members in self.part_vertices]
         self.stash: list[int] = []
         self.op_count = 0
 
     def retire(self, v: int, label: int) -> None:
-        """Label NOT_USED vertex v and drop it from the open lists."""
+        """Label NOT_USED vertex v and drop it from the open lists and mask."""
         self.state[v] = label
-        members = self.open_in_part[self.part_of[v]]
+        p = self.part_of[v]
+        members = self.open_in_part[p]
         del members[bisect_left(members, v)]
         del self.open[bisect_left(self.open, v)]
+        self.open_mask[p] ^= 1 << v
 
     def tentative_select(self, v: int) -> None:
         """Mark v selected, stash and remove its live edges."""
@@ -115,10 +121,12 @@ class HeuristicState:
         self.b[self.part_of[v]] += 1
         bit = 1 << v
         mask, deg = self.live_mask, self.live_degree
-        stash = [u for u in self.adjacency[v] if mask[u] & bit]
-        for u in stash:
-            mask[u] ^= bit
-            deg[u] -= 1
+        stash = []
+        for u in self.adjacency[v]:
+            if mask[u] & bit:
+                mask[u] ^= bit
+                deg[u] -= 1
+                stash.append(u)
         mask[v] = deg[v] = 0
         self.live_count -= len(stash)
         self.op_count += len(stash)
@@ -182,6 +190,9 @@ def make_decision(state: HeuristicState) -> bool:
     op_count. So when the part's positive members all fit in its residual,
     they are all picked at once with no sort; only a truncated part is
     ranked, by a stable descending sort over its members in ascending id.
+    The picks of a part that fits are its whole open_mask: a member whose
+    count is 0 has every live edge ending in an earlier pick, so marking it
+    picked too changes no later part's count.
     Cost per call: one count per open member of each part with residual
     budget, plus one sort per truncated part.
     """
@@ -190,10 +201,11 @@ def make_decision(state: HeuristicState) -> bool:
     remaining = state.live_count
     picked = 0  # bitmask of this call's picks
     mask, deg = state.live_mask, state.live_degree
-    limits, b = state.limits, state.b
-    order = sorted(range(1, state.k + 1), key=lambda p: (-(limits[p - 1] - b[p]), p))
-    for p in order:
-        residual = limits[p - 1] - b[p]
+    residuals = [0, *map(sub, state.limits, state.b[1:])]
+    # the sort is stable with reverse=True too: equal residuals keep the
+    # lower part id first
+    for p in sorted(range(1, state.k + 1), key=residuals.__getitem__, reverse=True):
+        residual = residuals[p]
         if residual <= 0:
             break  # every later part has no residual either
         members = state.open_in_part[p]
@@ -208,7 +220,7 @@ def make_decision(state: HeuristicState) -> bool:
             remaining -= sum(counts)
             if remaining == 0:
                 return True
-            picked |= sum(1 << v for v in compress(members, counts))
+            picked |= state.open_mask[p]
         else:
             # members come in ascending id and the sort is stable, so equal
             # counts keep the lowest id first

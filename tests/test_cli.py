@@ -426,6 +426,15 @@ class TestBench:
         assert capsys.readouterr().err == "error: repeated size in sizes [3, 3]\n"
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_trials_below_one_exit_2(self, tmp_path, capsys, trials):
+        # an empty ensemble would write a header-only CSV and exit 0
+        out_path = tmp_path / "bench.csv"
+        assert main(["bench", "--sizes", "4", "--trials", trials,
+                     "--out", str(out_path)]) == 2
+        assert capsys.readouterr().err == f"error: trials must be >= 1, got {trials}\n"
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("sizes", ["1_0,8", "+2,8", " 3,8", "\u0663,8"],
                              ids=["underscore", "plus", "space", "arabic-indic"])
     def test_non_decimal_sizes_exit_2(self, tmp_path, capsys, sizes):

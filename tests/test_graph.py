@@ -3,17 +3,22 @@
 from __future__ import annotations
 
 import argparse
+import tracemalloc
+from itertools import combinations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kpcover import (Budgets, Instance, InstanceInvalidError, SelfLoopError,
-                     VertexOutOfRangeError, build_graph, complement, exact_cvck,
+from kpcover import (Budgets, GenSpec, Instance, InstanceInvalidError,
+                     SelfLoopError, SplitMix64, VertexOutOfRangeError,
+                     build_graph, complement, exact_cvck, exact_max_clique,
+                     gen_complete_kpartite, gen_kpartite, gen_tree,
                      greedy_partition, is_clique, is_vertex_cover, make_partition,
-                     per_part_usage, respects_budgets, serialize_instance, solve,
-                     solve_cvck, validate_instance)
-from kpcover import cli
+                     parse_instance, per_part_usage, reduce_clique_to_vc,
+                     respects_budgets, serialize_instance, solve, solve_cvck,
+                     validate_instance)
+from kpcover import cli, graph
 
 from oracles import covers_all_edges, within_budgets
 from strategies import graphs, instances
@@ -73,6 +78,116 @@ class TestBuildGraph:
         for u, v in g.sorted_edges():
             assert v in g.adjacency[u] and u in g.adjacency[v]
         assert sum(len(g.adjacency[v]) for v in g.vertices()) == 2 * g.m
+
+
+def shuffled_text(inst, seed):
+    """inst's text with every record after the p line in a seeded order and
+    every other e record's endpoints swapped."""
+    head, *records = serialize_instance(inst).splitlines()
+    rng = SplitMix64(seed)
+    for i in range(len(records) - 1, 0, -1):
+        j = rng.next_below(i + 1)
+        records[i], records[j] = records[j], records[i]
+    for i, line in enumerate(records):
+        kind, *fields = line.split()
+        if kind == "e" and i % 2:
+            records[i] = f"e {fields[1]} {fields[0]}"
+    return "\n".join([head, *records]) + "\n"
+
+
+def frozenset_reference(g):
+    """g's neighbour sets rebuilt from its edges, as frozensets."""
+    nbrs = [set() for _ in range(g.n + 1)]
+    for u, v in g.sorted_edges():
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return [frozenset(s) for s in nbrs]
+
+
+def reference_ensemble():
+    """Seeded small graphs with every density from empty to complete."""
+    rng = SplitMix64(0xAD7AC)
+    for _ in range(80):
+        n = 1 + rng.next_below(12)
+        tenths = rng.next_below(11)  # density 0.0 to 1.0
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+                 if rng.next_below(10) < tenths]
+        yield build_graph(n, pairs)
+
+
+class TestAdjacencyContract:
+    """adjacency[v] is the ascending tuple of v's neighbours, whichever
+    builder made the graph; readers that test membership build their own
+    sets and answer as the frozenset adjacency did."""
+
+    @staticmethod
+    def assert_ascending_tuples(g):
+        nbrs = frozenset_reference(g)
+        assert len(g.adjacency) == g.n + 1 and g.adjacency[0] == ()
+        assert all(type(a) is tuple for a in g.adjacency)
+        assert list(g.adjacency) == [tuple(sorted(s)) for s in nbrs]
+
+    @pytest.mark.parametrize("make", [
+        lambda: build_graph(5, [(5, 1), (4, 2), (3, 1), (2, 1), (5, 3)]),
+        lambda: build_graph(5, [(1, 2), (2, 1), (1, 2), (4, 3), (3, 4), (5, 4)]),
+        lambda: gen_kpartite(GenSpec(n=60, k=4, density=0.5, seed=7)).graph,
+        lambda: gen_kpartite(GenSpec(n=31, k=3, density=0.2, seed=8)).graph,
+        lambda: gen_complete_kpartite((3, 1, 4)).graph,
+        lambda: gen_tree(40, 9).graph,
+        lambda: complement(gen_kpartite(GenSpec(n=30, k=3, density=0.4, seed=10)).graph),
+        lambda: parse_instance(shuffled_text(
+            gen_kpartite(GenSpec(n=40, k=4, density=0.5, seed=11)), 12)).graph,
+    ], ids=["build-reversed", "build-duplicates", "gen-kpartite-dense",
+            "gen-kpartite-sparse", "gen-complete", "gen-tree", "complement",
+            "parse-shuffled"])
+    def test_every_builder_gives_ascending_tuples(self, make):
+        g = make()
+        assert g.m > 0
+        self.assert_ascending_tuples(g)
+
+    def test_parse_of_shuffled_text_is_the_instance(self):
+        inst = gen_kpartite(GenSpec(n=40, k=4, density=0.5, seed=11))
+        parsed = parse_instance(shuffled_text(inst, 12))
+        assert parsed == inst and parsed.graph.adjacency == inst.graph.adjacency
+
+    def test_membership_readers_match_a_frozenset_reference(self):
+        rng = SplitMix64(0xC11C)
+        graphs = list(reference_ensemble())
+        for g in graphs:
+            nbrs = frozenset_reference(g)
+            missing = tuple((u, v) for u, v in combinations(g.vertices(), 2)
+                            if v not in nbrs[u])
+            comp = complement(g)
+            assert comp.edge_order == missing
+            self.assert_ascending_tuples(comp)
+            for k in (0, g.n // 2, g.n):
+                reduced = reduce_clique_to_vc(g, k)
+                assert reduced.complement_graph.edge_order == missing
+                assert reduced.complement_graph.adjacency == comp.adjacency
+                assert reduced.target_cover_size == g.n - k
+            cliques = [s for size in range(g.n, -1, -1)
+                       for s in combinations(g.vertices(), size)
+                       if all(v in nbrs[u] for u, v in combinations(s, 2))]
+            # combinations come in lexicographic order within a size, so the
+            # first is the largest clique that sorts first
+            assert exact_max_clique(g) == frozenset(cliques[0])
+            subsets = [frozenset(v for v in g.vertices() if rng.next_below(2))
+                       for _ in range(20)]
+            for s in subsets + [frozenset(c) for c in cliques[:20]]:
+                assert is_clique(g, s) == all(v in nbrs[u] for u, v in combinations(s, 2))
+        assert sum(g.m for g in graphs) > 500
+
+    def test_adjacency_costs_at_most_24_bytes_per_edge(self):
+        # a frozenset per vertex held about 135 B per edge on this graph
+        g = gen_kpartite(GenSpec(n=200, k=4, density=0.5, seed=41)).graph
+        tracemalloc.start()
+        try:
+            rebuilt = graph._sorted_graph(g.n, g.edge_order)  # shares the edge tuple
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert rebuilt.adjacency == g.adjacency
+        assert held <= 24 * g.m, held / g.m
 
 
 class TestConstructors:

@@ -9,7 +9,8 @@ reference_make_decision is the per-pick form of the lookahead: it re-scans
 the part for the best vertex after every pick and walks the pick's incident
 edges. make_decision counts each part once instead; the tests hold the two to
 the same verdict and the same op_count on every call, and check that the
-state's open lists hold exactly the NOT_USED vertices after every step.
+state's open lists and per-part open masks hold exactly the NOT_USED
+vertices after every step.
 """
 
 from __future__ import annotations
@@ -114,12 +115,15 @@ def lookahead_instances():
 
 
 def assert_open_lists(state: HeuristicState) -> None:
-    """open and open_in_part hold exactly the NOT_USED vertices, ascending."""
+    """open and open_in_part hold exactly the NOT_USED vertices, ascending,
+    and open_mask[p] has exactly the bits of open_in_part[p]."""
     def not_used(vertices):
         return [v for v in vertices if state.state[v] == NOT_USED]
     assert state.open == not_used(range(1, state.n + 1))
     assert state.open_in_part == [not_used(members)
                                   for members in state.part_vertices]
+    assert state.open_mask == [sum(1 << v for v in members)
+                               for members in state.open_in_part]
 
 
 @pytest.fixture(scope="module")
@@ -127,8 +131,8 @@ def checked_solves() -> Counter:
     """Solve every lookahead instance with each step checked; count events.
 
     Every make_decision call is held to the reference, and the open lists
-    are checked after every tentative_select and undo_tentative and on entry
-    to every extract_max, which follows each budget-full skip.
+    and masks are checked after every tentative_select and undo_tentative
+    and on entry to every extract_max, which follows each budget-full skip.
     """
     events: Counter = Counter()
     select, undo = HeuristicState.tentative_select, HeuristicState.undo_tentative
