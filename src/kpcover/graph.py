@@ -238,15 +238,15 @@ def is_clique(g: Graph, s: Iterable[int]) -> bool:
 
 def respects_budgets(inst: Instance, s: Iterable[int]) -> bool:
     """True iff s takes at most the budgeted number of vertices from each part."""
-    usage = per_part_usage(inst.partition, set(s))
+    usage = per_part_usage(inst.partition, s)
     return all(usage[i] <= inst.budgets.limits[i] for i in range(inst.partition.k))
 
 
 def per_part_usage(partition: KPartition, s: Iterable[int]) -> tuple[int, ...]:
-    """Count of selected vertices per part, ordered part 1..k."""
+    """Count of distinct selected vertices per part, ordered part 1..k."""
     counts = [0] * (partition.k + 1)
     part_of, n = partition.part_of, partition.n
-    for v in s:
+    for v in set(s):
         # part_of[0] and negative ids would index without an error
         if not (1 <= v <= n):
             raise VertexOutOfRangeError(f"vertex {v} outside 1..{n}")

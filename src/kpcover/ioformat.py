@@ -14,11 +14,9 @@ v/b/e records may interleave after the p line. Budgets are mandatory, so a
 file is always a complete instance. parse(serialize(inst)) == inst, and the
 canonical serialization (sorted records, no comments) is byte-stable.
 
-parse_instance reads the text with one line regex. A line that is exactly
-`v`, `b` or `e`, a space, 1-18 digits, a space and 1-18 digits is read from
-the match groups; any other line (comment, p line, CR, tabs, repeated
-spaces, signs or long fields) is split into tokens. Both shapes then go
-through the same value checks, so the fast shape only skips the tokenizing.
+parse_instance reads the text with one line regex and splits each line into
+tokens, so every line, comment, p line or record, takes the same checks.
+The one fast path is a bulk e run, and it falls back to that line reader.
 
 After the last of the n v records, a run of plain e lines, each `e`, a
 space, 1-18 digits, a space, 1-18 digits and an LF, is read in chunks of at
@@ -35,8 +33,8 @@ the chunk's token lists small however long the run.
 Canonical text gives its pairs with u < v and strictly ascending; then they
 are the graph's edge order as read and build_graph's orienting, sorting and
 de-duplication are skipped. Other text goes through build_graph. Intra-part
-edges are found after the loop with one set-disjointness test per vertex of
-the built graph.
+edges are found after the loop with one set per part of the built graph,
+the union of its members' neighbour tails, tested against the part.
 """
 
 from __future__ import annotations
@@ -74,36 +72,32 @@ def parse_instance(text: str) -> Instance:
         line = _LINE.match(text, pos)  # takes at least one character
         lineno += 1
         pos = line.end()
-        kind, x, y, raw = line.groups()
-        if kind is None:
-            tokens = raw.split()
-            if not tokens or tokens[0] == "c":
-                continue
-            # a non-ASCII character inside a field fails that field's check
-            # below; between fields, str.split() took it for a separator
-            if not raw.isascii() and "".join(tokens).isascii():
-                raise ParseError(lineno, "Syntax", f"non-ASCII separator in {raw!r}")
-            kind = tokens[0]
-            if kind == "p":
-                if header is not None:
-                    raise ParseError(lineno, "DuplicateRecord", "second p line")
-                if len(tokens) != 5 or tokens[1] != "kpvc":
-                    raise ParseError(lineno, "Syntax", "expected 'p kpvc <n> <m> <k>'")
-                n, m, k = _ints(lineno, tokens[2:])
-                if n < 1 or m < 0 or k < 1:
-                    raise ParseError(lineno, "Syntax", f"bad header values n={n} m={m} k={k}")
-                header = (lineno, n, m, k)
-                continue
+        raw = line[1]
+        tokens = raw.split()
+        if not tokens or tokens[0] == "c":
+            continue
+        # a non-ASCII character inside a field fails that field's check
+        # below; between fields, str.split() took it for a separator
+        if not raw.isascii() and "".join(tokens).isascii():
+            raise ParseError(lineno, "Syntax", f"non-ASCII separator in {raw!r}")
+        kind = tokens[0]
+        if kind == "p":
+            if header is not None:
+                raise ParseError(lineno, "DuplicateRecord", "second p line")
+            if len(tokens) != 5 or tokens[1] != "kpvc":
+                raise ParseError(lineno, "Syntax", "expected 'p kpvc <n> <m> <k>'")
+            n, m, k = _ints(lineno, tokens[2:])
+            if n < 1 or m < 0 or k < 1:
+                raise ParseError(lineno, "Syntax", f"bad header values n={n} m={m} k={k}")
+            header = (lineno, n, m, k)
+            continue
         if header is None:
             raise ParseError(lineno, "Syntax", "record before the p line")
-        if x is None:
-            if kind not in _RECORDS:
-                raise ParseError(lineno, "Syntax", f"unknown record kind {kind!r}")
-            if len(tokens) != 3:
-                raise ParseError(lineno, "Syntax", f"expected {_RECORDS[kind]!r}")
-            x, y = _ints(lineno, tokens[1:])
-        else:
-            x, y = int(x), int(y)
+        if kind not in _RECORDS:
+            raise ParseError(lineno, "Syntax", f"unknown record kind {kind!r}")
+        if len(tokens) != 3:
+            raise ParseError(lineno, "Syntax", f"expected {_RECORDS[kind]!r}")
+        x, y = _ints(lineno, tokens[1:])
         if kind == "e":
             if x == y:
                 raise ParseError(lineno, "Syntax", f"self-loop at vertex {x}")
@@ -168,11 +162,10 @@ def parse_instance(text: str) -> Instance:
                     budgets=Budgets(tuple(b_records[p] for p in range(1, k + 1))))
 
 
-# one line, ended by LF or the end of the text: either a plain v/b/e record,
-# whose 1-18 digit fields int() reads cheaply, or anything else as raw text.
-# `.` stops only at LF, so a U+2028 or similar in a comment can neither start
-# a record nor shift the line numbers after it.
-_LINE = re.compile(r"(?:([vbe]) ([0-9]{1,18}) ([0-9]{1,18})|(.*))(?:\n|\Z)")
+# one line, ended by LF or the end of the text. `.` stops only at LF, so a
+# U+2028 or similar in a comment can neither end a line nor shift the line
+# numbers after it.
+_LINE = re.compile(r"(.*)(?:\n|\Z)")
 _RECORDS = {"v": "v <vertex> <part>", "b": "b <part> <budget>", "e": "e <u> <v>"}
 # up to _RUN_LINES consecutive plain e records, each ended by LF; capping the
 # chunk keeps the transient token lists the same size however long the run
@@ -198,7 +191,7 @@ def _run_pairs(run: str, ids: dict[str, int]) -> list[tuple[int, int]] | None:
 
 def _e_line(text: str, i: int) -> int:
     """Line of the i-th e record (from 0), found again only for an error:
-    the loop read every plain e match and raw line led by token e as one."""
+    the loop read every line led by token e as one."""
     for lineno, line in enumerate(_LINE.finditer(text), 1):
         if line[0].split()[:1] == ["e"]:
             if i == 0:

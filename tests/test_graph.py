@@ -334,6 +334,14 @@ class TestPredicates:
         assert respects_budgets(inst, {2})
         assert not respects_budgets(inst, {1})
 
+    def test_repeated_vertex_counts_once(self):
+        # edge 1-2 in parts (1, 2), budgets (1, 1): a vertex listed twice is
+        # still one vertex, as respects_budgets and is_vertex_cover take it
+        inst = Instance(build_graph(2, [(1, 2)]), make_partition(2, [1, 2]), Budgets((1, 1)))
+        assert per_part_usage(inst.partition, [1, 1]) == (1, 0)
+        assert per_part_usage(inst.partition, iter([2, 1, 2])) == (1, 1)
+        assert respects_budgets(inst, [1, 1]) and is_vertex_cover(inst.graph, [1, 1])
+
     @given(instances(), st.data())
     def test_predicates_match_naive_definitions(self, inst, data):
         g = inst.graph

@@ -271,52 +271,30 @@ e 2 3
 _NO_RUN = re.compile("(?!)")
 
 
-class _PlainCounter:
-    """Stands in for ioformat._LINE and ioformat._run_pairs and counts the
-    plain records read: lines matched by _LINE's plain alternative, and the
-    pairs of each e-record run that _run_pairs accepts."""
+def _outcomes(text):
+    """(outcome, sizes of the e-record runs read in bulk, or None for a run
+    refused, and the outcome with the run turned off: line by line)."""
+    sizes, read = [], ioformat._run_pairs
 
-    def __init__(self, line, run_pairs):
-        self.line, self.run_pairs, self.plain = line, run_pairs, 0
-
-    def match(self, text, pos):
-        match = self.line.match(text, pos)
-        self.plain += match[1] is not None
-        return match
-
-    def finditer(self, text):  # the error path's re-read, not counted
-        return self.line.finditer(text)
-
-    def pairs(self, run, ids):
-        pairs = self.run_pairs(run, ids)
-        self.plain += 0 if pairs is None else len(pairs)
+    def run_pairs(run, ids):
+        pairs = read(run, ids)
+        sizes.append(None if pairs is None else len(pairs))
         return pairs
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ioformat, "_run_pairs", run_pairs)
+        outcome = _outcome(text)
+        mp.setattr(ioformat, "_E_RUN", _NO_RUN)
+        return outcome, sizes, _outcome(text)
 
 
 class TestEdgeRun:
-    """Plain records, such as the run of e records canonical text ends with,
-    read from the match groups or as one run, against the same text read
-    line by line from tokens alone: _LINE with its plain alternative never
-    matching and the e-record run turned off."""
-
-    @staticmethod
-    def outcomes(text):
-        """(outcome, plain records read, outcome line by line)."""
-        counter = _PlainCounter(ioformat._LINE, ioformat._run_pairs)
-        tokens_only = re.compile(ioformat._LINE.pattern.replace(
-            "(?:([vbe])", "(?:(?!)([vbe])", 1))
-        assert tokens_only.pattern != ioformat._LINE.pattern
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ioformat, "_LINE", counter)
-            mp.setattr(ioformat, "_run_pairs", counter.pairs)
-            outcome = _outcome(text)
-            mp.setattr(ioformat, "_LINE", tokens_only)
-            mp.setattr(ioformat, "_E_RUN", _NO_RUN)
-            return outcome, counter.plain, _outcome(text)
+    """The run of e records canonical text ends with, read in bulk, against
+    the same text read line by line, with the e-record run turned off."""
 
     def assert_same_outcome(self, text, kind):
         """Both readings agree: EDGE_TAIL's instance, or an error of kind."""
-        outcome, _, expected = self.outcomes(text)
+        outcome, _, expected = _outcomes(text)
         assert outcome == expected
         if kind is None:
             assert outcome == parse_instance(EDGE_TAIL)
@@ -337,16 +315,16 @@ class TestEdgeRun:
             edits = rng.choice((0, 1, 1, 2, 3))
             for _ in range(edits):
                 text = _mutate(text, rng)
-            outcome, plain, expected = self.outcomes(text)
+            outcome, sizes, expected = _outcomes(text)
             assert outcome == expected, text
-            plain_edited += edits > 0 and plain > 0
+            plain_edited += edits > 0 and sum(filter(None, sizes)) > 0
             rejected += isinstance(expected, tuple)
-        # edited text took the plain shape too, and errors were compared
+        # edited text was read in bulk too, and errors were compared
         assert plain_edited > 200 and rejected > 500
 
     def test_canonical_tail_is_taken(self):
-        outcome, plain, expected = self.outcomes(EDGE_TAIL)
-        assert plain == 4 + 2 + 3 and outcome == expected
+        outcome, sizes, expected = _outcomes(EDGE_TAIL)
+        assert sum(filter(None, sizes)) == 3 and outcome == expected
         assert outcome.graph.sorted_edges() == ((1, 2), (1, 4), (2, 3))
 
     @pytest.mark.parametrize("text, kind", [
@@ -446,25 +424,9 @@ class TestBulkRun:
 
     CHUNK = ioformat._RUN_LINES
 
-    @staticmethod
-    def outcomes(text):
-        """(outcome, sizes of the runs read in bulk, outcome with no run)."""
-        sizes, read = [], ioformat._run_pairs
-
-        def run_pairs(run, ids):
-            pairs = read(run, ids)
-            sizes.append(None if pairs is None else len(pairs))
-            return pairs
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ioformat, "_run_pairs", run_pairs)
-            outcome = _outcome(text)
-            mp.setattr(ioformat, "_E_RUN", _NO_RUN)
-            return outcome, sizes, _outcome(text)
-
     @pytest.mark.parametrize("m", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 1])
     def test_run_lengths(self, m):
-        outcome, sizes, expected = self.outcomes(_run_text(m))
+        outcome, sizes, expected = _outcomes(_run_text(m))
         assert outcome == expected and outcome.graph.m == m
         full, rest = divmod(m, self.CHUNK)
         assert sizes == [self.CHUNK] * full + [rest] * (rest > 0)
@@ -477,7 +439,7 @@ class TestBulkRun:
         ("leading-zero", None), ("reversed", None), ("out-of-order", None),
         ("intra-part", "IntraPartEdge"), ("repeated", "DuplicateRecord")])
     def test_edited_record(self, edit, kind, at):
-        outcome, sizes, expected = self.outcomes(_run_text(3 * self.CHUNK + 1, edit, at))
+        outcome, sizes, expected = _outcomes(_run_text(3 * self.CHUNK + 1, edit, at))
         assert outcome == expected
         if kind is None:
             assert outcome.graph.m == 3 * self.CHUNK + 1
@@ -508,13 +470,13 @@ class TestBulkRun:
         lines = _run_text(3 * self.CHUNK + 1).splitlines(keepends=True)
         late_v, e_start = lines[61:121], 123 + self.CHUNK
         text = "".join(lines[:61] + lines[121:e_start] + late_v + lines[e_start:])
-        outcome, sizes, expected = self.outcomes(text)
+        outcome, sizes, expected = _outcomes(text)
         assert outcome == expected and outcome.graph.m == 3 * self.CHUNK + 1
         assert None not in sizes
 
     def test_no_final_lf(self):
         m = 2 * self.CHUNK
-        outcome, sizes, expected = self.outcomes(_run_text(m)[:-1])
+        outcome, sizes, expected = _outcomes(_run_text(m)[:-1])
         assert outcome == expected and outcome.graph.m == m
         assert sizes == [self.CHUNK, self.CHUNK - 1]  # the last line has no LF
 
