@@ -91,8 +91,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_decimal)
     p.add_argument("--k", type=_decimal)
     p.add_argument("--density", type=float)
-    p.add_argument("--seed", type=_decimal, default=0)
-    p.add_argument("--budget-mode", default="slack:1")
+    p.add_argument("--seed", type=_decimal)  # None: not given; 0 where read
+    p.add_argument("--budget-mode")  # None: not given; slack:1 where read
     p.add_argument("--tree", action="store_true", help="random tree instead of k-partite")
     p.add_argument("--complete", help="complete k-partite with these part sizes, e.g. 2,3")
     p.set_defaults(func=cmd_gen)
@@ -168,18 +168,31 @@ def cmd_reduce_clique(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _refuse_options(args: argparse.Namespace, mode: str, *options: str) -> None:
+    """SpecInvalidError naming the first of options given with mode."""
+    for option in options:
+        value = getattr(args, option[2:].replace("-", "_"))
+        if value is not None and value is not False:  # 0 and 0.0 are given
+            raise SpecInvalidError(f"{mode} does not take {option}")
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
+    seed = 0 if args.seed is None else args.seed
+    budget_mode = "slack:1" if args.budget_mode is None else args.budget_mode
     if args.complete is not None:
+        _refuse_options(args, "--complete", "--tree", "--n", "--k", "--density",
+                        "--seed", "--budget-mode")
         inst = gen_complete_kpartite(_decimal_list(args.complete, "bad part sizes"))
     elif args.tree:
+        _refuse_options(args, "--tree", "--k", "--density")
         if args.n is None:
             raise SpecInvalidError("--tree requires --n")
-        inst = gen_tree(args.n, args.seed, args.budget_mode)
+        inst = gen_tree(args.n, seed, budget_mode)
     else:
         if args.n is None or args.k is None or args.density is None:
             raise SpecInvalidError("gen requires --n, --k and --density")
         inst = gen_kpartite(GenSpec(n=args.n, k=args.k, density=args.density,
-                                    seed=args.seed, budget_mode=args.budget_mode))
+                                    seed=seed, budget_mode=budget_mode))
     text = serialize_instance(inst)
     if not hasattr(sys.stdout, "buffer"):  # a text stream, such as io.StringIO
         sys.stdout.write(text)

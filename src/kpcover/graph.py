@@ -28,7 +28,8 @@ class Graph:
     hashing compare. adjacency[v] is the ascending tuple of v's neighbors
     (index 0 is an unused, empty placeholder so vertex ids index directly).
     Tuples of ints cost a fraction of frozensets and leave the cyclic GC's
-    tracking; a reader that tests membership builds its own set.
+    tracking; a reader that tests membership, of a neighbour list or of a
+    KPartition's part stored the same way, builds its own set.
     """
 
     n: int
@@ -103,13 +104,14 @@ class KPartition:
     """Assignment of every vertex to one of k parts.
 
     part_of[v] is the part id of vertex v in 1..k (index 0 unused).
-    parts[i] is the vertex set of part i (index 0 unused). Empty parts are
+    parts[i] is the ascending tuple of part i's vertices (index 0 is an
+    unused, empty placeholder), stored like Graph.adjacency. Empty parts are
     representable; validate_instance reports them as warnings.
     """
 
     k: int
     part_of: tuple[int, ...]
-    parts: tuple[frozenset[int], ...] = field(compare=False)
+    parts: tuple[tuple[int, ...], ...] = field(compare=False)
 
     @property
     def n(self) -> int:
@@ -120,7 +122,8 @@ def make_partition(k: int, part_of: Mapping[int, int] | Sequence[int]) -> KParti
     """Build a KPartition from a vertex -> part mapping.
 
     Accepts a dict keyed by vertex id or a sequence of part ids for vertices
-    1..n in order. Every part id must lie in 1..k.
+    1..n in order. Every part id must lie in 1..k. Each part is appended to
+    in vertex-id order, so it comes out ascending with no sort.
     """
     if k < 1:
         raise VertexOutOfRangeError(f"part count must be >= 1, got {k}")
@@ -130,13 +133,12 @@ def make_partition(k: int, part_of: Mapping[int, int] | Sequence[int]) -> KParti
             raise VertexOutOfRangeError("partition must assign exactly vertices 1..n")
         part_of = map(part_of.__getitem__, range(1, n + 1))
     assign = [0, *part_of]
-    groups: list[set[int]] = [set() for _ in range(k + 1)]
+    groups: list[list[int]] = [[] for _ in range(k + 1)]
     for v, p in enumerate(assign[1:], start=1):
         if not (1 <= p <= k):
             raise VertexOutOfRangeError(f"vertex {v} assigned to part {p}, outside 1..{k}")
-        groups[p].add(v)
-    return KPartition(k=k, part_of=tuple(assign),
-                      parts=tuple(frozenset(s) for s in groups))
+        groups[p].append(v)
+    return KPartition(k=k, part_of=tuple(assign), parts=tuple(map(tuple, groups)))
 
 
 @dataclass(frozen=True)
@@ -209,15 +211,16 @@ def validate_instance(inst: Instance) -> ValidationReport:
 def _has_intra_part_edge(g: Graph, part: KPartition) -> bool:
     """True iff an edge of g joins two vertices of one part (part.n == g.n).
     Edge (u, v) with u < v lies in the ascending tail of adjacency[u] past
-    u, so a part holds an edge iff it meets its members' tails: one set per
-    part, each edge hashed once, and no walk over the edges."""
+    u, so a part holds an edge iff one of its members lies in its members'
+    tails: one set of tails per part, tested against the part's tuple, each
+    edge hashed once, and no walk over the edges."""
     adj = g.adjacency
     for members in part.parts:
         later: set[int] = set()
         for u in members:
             nbrs = adj[u]
             later.update(nbrs[bisect(nbrs, u):])
-        if not members.isdisjoint(later):
+        if not later.isdisjoint(members):
             return True
     return False
 

@@ -14,8 +14,10 @@ NOT_SELECTED.
 The NOT_USED vertices are kept three times over: as an ascending list `open`,
 one ascending list per part, `open_in_part[p]`, and one bitmask per part,
 `open_mask[p]`; a vertex leaves all three once, on its one retirement from
-NOT_USED. extract_max reads live degrees over `open` only, and the lookahead
-reads each part's candidates from `open_in_part`.
+NOT_USED. The per-part lists and masks start from the partition's parts,
+which are ascending tuples already, so the state sorts and copies no part.
+extract_max reads live degrees over `open` only, and the lookahead reads
+each part's candidates from `open_in_part`.
 
 The lookahead batches its picks by part. Every part is an independent set
 (validate_instance rejects intra-part edges), so a pick never changes how
@@ -81,8 +83,10 @@ class HeuristicState:
     whose edges to the current tentative selection it removed. open lists the
     NOT_USED vertices in ascending order, open_in_part[p] those of part p and
     bit v of open_mask[p] is set while v is one of them; retire is the only
-    way out of NOT_USED, and it updates all three. The masks take at most
-    one bit per vertex id per part, k * n bits in all.
+    way out of NOT_USED, and it updates all three. open_in_part[p] starts as
+    a list of inst.partition.parts[p], which is ascending already, and
+    open_mask[p] from that list; no other copy of a part is kept. The masks
+    take at most one bit per vertex id per part, k * n bits in all.
     """
 
     def __init__(self, inst: Instance):
@@ -98,11 +102,9 @@ class HeuristicState:
         self.part_of = inst.partition.part_of
         self.limits = inst.budgets.limits
         self.b = [0] * (self.k + 1)
-        self.part_vertices = [sorted(inst.partition.parts[p]) if p else []
-                              for p in range(self.k + 1)]
         self.open = list(range(1, self.n + 1))
-        self.open_in_part = [list(members) for members in self.part_vertices]
-        self.open_mask = [sum(1 << v for v in members) for members in self.part_vertices]
+        self.open_in_part = list(map(list, inst.partition.parts))
+        self.open_mask = [sum(1 << v for v in members) for members in self.open_in_part]
         self.stash: list[int] = []
         self.op_count = 0
 

@@ -15,7 +15,7 @@ import pytest
 import kpcover
 from kpcover.cli import main
 from kpcover.errors import SelfLoopError
-from kpcover.generate import GenSpec, gen_kpartite
+from kpcover.generate import GenSpec, gen_kpartite, gen_tree
 from kpcover.graph import ValidationReport
 from kpcover.ioformat import serialize_instance
 
@@ -258,13 +258,34 @@ class TestGen:
         (["--complete", "+2,3"], "bad part sizes '+2,3'"),
         (["--complete", " 3,2"], "bad part sizes ' 3,2'"),
         (["--complete", "\u0663,2"], "bad part sizes '\u0663,2'"),
+        (["--complete", "2,3", "--budget-mode", "nonsense"],
+         "--complete does not take --budget-mode"),
+        (["--complete", "2,3", "--budget-mode", "fixed:1,1"],
+         "--complete does not take --budget-mode"),
+        (["--complete", "2,3", "--seed", "0"], "--complete does not take --seed"),
+        (["--complete", "2,3", "--tree"], "--complete does not take --tree"),
+        (["--complete", "2,3", "--n", "5"], "--complete does not take --n"),
+        (["--complete", "2,3", "--k", "2"], "--complete does not take --k"),
+        (["--complete", "2,3", "--density", "0"], "--complete does not take --density"),
+        (["--tree", "--n", "5", "--density", "3"], "--tree does not take --density"),
+        (["--tree", "--n", "5", "--k", "2"], "--tree does not take --k"),
     ], ids=["complete-sizes", "tree-without-n", "without-k", "complete-empty",
             "complete-underscore", "complete-plus", "complete-space",
-            "complete-arabic-indic"])
+            "complete-arabic-indic", "complete-budget-mode",
+            "complete-fixed-budgets", "complete-seed-0", "complete-tree",
+            "complete-n", "complete-k", "complete-density-0", "tree-density",
+            "tree-k"])
     def test_spec_errors_exit_2(self, capsys, flags, message):
         assert main(["gen"] + flags) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {message}\n"
+
+    def test_seed_and_budget_mode_defaults(self, capsys):
+        assert main(["gen", "--tree", "--n", "10"]) == 0
+        assert capsys.readouterr().out == serialize_instance(gen_tree(10, 0, "slack:1"))
+        assert main(["gen", "--n", "9", "--k", "3", "--density", "0.5"]) == 0
+        spec = GenSpec(n=9, k=3, density=0.5, seed=0, budget_mode="slack:1")
+        assert capsys.readouterr().out == serialize_instance(gen_kpartite(spec))
 
     def test_gen_output_validates(self, tmp_path, capsys):
         assert main(["gen", "--n", "9", "--k", "3", "--density", "0.6",

@@ -95,6 +95,14 @@ def shuffled_text(inst, seed):
     return "\n".join([head, *records]) + "\n"
 
 
+def descending_v_records(inst):
+    """inst's canonical text with its v records in descending vertex id."""
+    lines = serialize_instance(inst).splitlines(keepends=True)
+    v_at = [i for i, line in enumerate(lines) if line.startswith("v ")]
+    lines[v_at[0]:v_at[-1] + 1] = reversed(lines[v_at[0]:v_at[-1] + 1])
+    return "".join(lines)
+
+
 def frozenset_reference(g):
     """g's neighbour sets rebuilt from its edges, as frozensets."""
     nbrs = [set() for _ in range(g.n + 1)]
@@ -201,6 +209,23 @@ class TestConstructors:
     def test_make_partition_rejects(self, k, part_of, message):
         with pytest.raises(VertexOutOfRangeError, match=message):
             make_partition(k, part_of)
+
+    @pytest.mark.parametrize("build", [
+        lambda: make_partition(3, [2, 1, 3, 1, 2, 2, 3, 1]),
+        lambda: make_partition(3, {v: 1 + v * 5 % 3 for v in range(9, 0, -1)}),
+        lambda: gen_kpartite(GenSpec(n=13, k=4, density=0.5, seed=3)).partition,
+        lambda: gen_tree(15, 3).partition,
+        lambda: gen_complete_kpartite((2, 3, 1)).partition,
+        lambda: greedy_partition(complement(gen_kpartite(
+            GenSpec(n=14, k=3, density=0.6, seed=5)).graph)),
+        lambda: parse_instance(descending_v_records(gen_tree(12, 4))).partition,
+    ], ids=["sequence", "mapping", "gen-kpartite", "gen-tree", "gen-complete",
+            "greedy-partition", "parse-descending-v"])
+    def test_every_builder_stores_each_part_ascending(self, build):
+        part = build()
+        assert part.parts == tuple(
+            tuple(v for v in range(1, part.n + 1) if part.part_of[v] == p)
+            for p in range(part.k + 1))
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError, match=r"^budgets must be non-negative$"):
@@ -370,7 +395,7 @@ class TestPredicates:
 class TestGreedyPartition:
     def test_edgeless_single_part(self):
         part = greedy_partition(build_graph(3, []))
-        assert part.k == 1 and part.parts[1] == frozenset({1, 2, 3})
+        assert part.k == 1 and part.parts[1] == (1, 2, 3)
 
     def test_triangle_singletons(self):
         part = greedy_partition(triangle())
@@ -380,7 +405,7 @@ class TestGreedyPartition:
     def test_path_two_parts(self):
         part = greedy_partition(path3())
         assert part.k == 2
-        assert part.parts[1] == frozenset({1, 3}) and part.parts[2] == frozenset({2})
+        assert part.parts[1] == (1, 3) and part.parts[2] == (2,)
 
     @given(graphs(max_n=10))
     def test_output_is_proper(self, g):

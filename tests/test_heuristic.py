@@ -10,7 +10,10 @@ the part for the best vertex after every pick and walks the pick's incident
 edges. make_decision counts each part once instead; the tests hold the two to
 the same verdict and the same op_count on every call, and check that the
 state's open lists and per-part open masks hold exactly the NOT_USED
-vertices after every step.
+vertices after every step. Both checks read each part's members from the
+partition's part_of, not from the parts the state's lists start from, and
+the ensemble holds parts that are contiguous id ranges (gen_kpartite) and
+parts that interleave (gen_tree's level parity, greedy_partition).
 """
 
 from __future__ import annotations
@@ -22,15 +25,22 @@ import pytest
 from hypothesis import given, settings
 
 from kpcover import (Budgets, GenSpec, Instance, InstanceInvalidError,
-                     SplitMix64, build_graph, exact_cvck, extract_max,
-                     gen_kpartite, is_vertex_cover, make_decision,
-                     make_partition, per_part_usage, respects_budgets,
-                     solve_cvck)
+                     SplitMix64, build_graph, derive_budgets, exact_cvck,
+                     extract_max, gen_kpartite, gen_tree, greedy_partition,
+                     is_vertex_cover, make_decision, make_partition,
+                     per_part_usage, respects_budgets, solve_cvck)
 from kpcover import heuristic
 from kpcover.heuristic import NOT_SELECTED, NOT_USED, SELECTED, HeuristicState
 
 from oracles import brute_optima
 from strategies import instances
+
+
+def part_members(state: HeuristicState) -> list[list[int]]:
+    """Each part's vertices in ascending id (index 0 empty), read from the
+    partition's part_of."""
+    return [[v for v in range(1, state.n + 1) if state.part_of[v] == p]
+            for p in range(state.k + 1)]
 
 
 def reference_make_decision(state: HeuristicState,
@@ -47,11 +57,12 @@ def reference_make_decision(state: HeuristicState,
     vis: set[tuple[int, int]] = set()
     ud = state.live_degree.copy()  # unvisited-degree; consulted only for NOT_USED
     vstate = state.state
+    members_of = part_members(state)
     order = sorted(range(1, state.k + 1),
                    key=lambda p: (-(state.limits[p - 1] - state.b[p]), p))
     for i, p in enumerate(order):
         residual = state.limits[p - 1] - state.b[p]
-        members = state.part_vertices[p]
+        members = members_of[p]
         if passes is not None and residual > 0:
             positive = sum(vstate[v] == NOT_USED and ud[v] > 0 for v in members)
             passes["fits" if positive <= residual else "truncated"] += 1
@@ -95,7 +106,8 @@ def decide_both(state: HeuristicState,
 
 
 def lookahead_instances():
-    """Seeded mixed ensemble plus three dense n = 200 instances."""
+    """Seeded mixed ensemble plus three dense n = 200 instances, then seeded
+    trees and greedy-coloured graphs, whose parts interleave."""
     rng = SplitMix64(0x10CA7EAD)
     for _ in range(300):
         n = 2 + rng.next_below(39)
@@ -112,6 +124,26 @@ def lookahead_instances():
     for seed, mode in ((1, "slack:1"), (2, "slack:0"), (3, "fixed:30,30,30,30")):
         yield gen_kpartite(GenSpec(n=200, k=4, density=0.5, seed=seed,
                                    budget_mode=mode))
+    rng = SplitMix64(0x7EE5)
+    for i in range(90):
+        mode = ("slack:0", "exact", "fixed")[i % 3]
+        n = 2 + rng.next_below(15 if mode == "exact" else 39)
+        if mode == "fixed":
+            mode = f"fixed:{rng.next_below(n // 2 + 2)},{rng.next_below(n // 2 + 2)}"
+        yield gen_tree(n, rng.next_u64(), mode)
+    rng = SplitMix64(0x6C0105)
+    for i in range(90):
+        mode = ("slack:0", "slack:1", "exact", "fixed")[i % 4]
+        n = 2 + rng.next_below(15 if mode == "exact" else 39)
+        density = (0.1, 0.3, 0.5)[rng.next_below(3)]
+        graph = build_graph(n, [(u, v) for u in range(1, n + 1)
+                                for v in range(u + 1, n + 1)
+                                if rng.next_float() < density])
+        partition = greedy_partition(graph)
+        if mode == "fixed":
+            mode = "fixed:" + ",".join(str(rng.next_below(n // partition.k + 2))
+                                       for _ in range(partition.k))
+        yield Instance(graph, partition, derive_budgets(graph, partition, mode))
 
 
 def assert_open_lists(state: HeuristicState) -> None:
@@ -121,7 +153,7 @@ def assert_open_lists(state: HeuristicState) -> None:
         return [v for v in vertices if state.state[v] == NOT_USED]
     assert state.open == not_used(range(1, state.n + 1))
     assert state.open_in_part == [not_used(members)
-                                  for members in state.part_vertices]
+                                  for members in part_members(state)]
     assert state.open_mask == [sum(1 << v for v in members)
                                for members in state.open_in_part]
 
@@ -133,6 +165,8 @@ def checked_solves() -> Counter:
     Every make_decision call is held to the reference, and the open lists
     and masks are checked after every tentative_select and undo_tentative
     and on entry to every extract_max, which follows each budget-full skip.
+    Events of instances with a part that is not an id range are counted
+    again under "interleaved ...".
     """
     events: Counter = Counter()
     select, undo = HeuristicState.tentative_select, HeuristicState.undo_tentative
@@ -157,6 +191,7 @@ def checked_solves() -> Counter:
         return step
     for inst in lookahead_instances():
         expected = solve_cvck(inst)
+        before = events.copy()
         with pytest.MonkeyPatch.context() as m:
             m.setattr(heuristic, "make_decision", checked_decision)
             m.setattr(heuristic, "extract_max", checked_extract)
@@ -164,6 +199,9 @@ def checked_solves() -> Counter:
                       checked_step(select, "selections"))
             m.setattr(HeuristicState, "undo_tentative", checked_step(undo, "undos"))
             assert solve_cvck(inst) == expected
+        if any(m and m[-1] - m[0] >= len(m) for m in inst.partition.parts):
+            events.update({"interleaved " + key: count
+                           for key, count in (events - before).items()})
     return events
 
 
@@ -264,6 +302,9 @@ class TestMakeDecision:
         assert checked_solves["fits"] > 0
         assert checked_solves["truncated"] > 0
         assert checked_solves["true after first part"] > 0
+        # and so must the instances whose parts are not id ranges
+        for event in ("fits", "truncated", "true after first part"):
+            assert checked_solves["interleaved " + event] > 0
 
 
 class TestStateMechanics:
@@ -272,6 +313,9 @@ class TestStateMechanics:
         # kind of step, budget-full skips included, was seen
         skips = checked_solves["picks"] - checked_solves["selections"]
         assert checked_solves["undos"] > 0 and skips > 0
+        skips = (checked_solves["interleaved picks"]
+                 - checked_solves["interleaved selections"])
+        assert checked_solves["interleaved undos"] > 0 and skips > 0
         assert checked_solves["open-list checks"] > 1000
 
     def test_state_memory_is_linear_on_a_low_centred_star(self):
