@@ -100,10 +100,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run an ensemble and write per-record CSV")
     p.add_argument("--sizes", required=True, help="comma-separated n values")
     p.add_argument("--trials", type=_decimal, default=5)
-    p.add_argument("--density", type=float, default=0.5)
+    p.add_argument("--density", type=float)  # None: not given; 0.5 where read
     p.add_argument("--seed", type=_decimal, default=0)
     p.add_argument("--budget-mode", default="slack:1")
-    p.add_argument("--k", type=_decimal, default=3)
+    p.add_argument("--k", type=_decimal)  # None: not given; 3 where read
     p.add_argument("--tree", action="store_true")
     p.add_argument("--exact-cutoff", type=_decimal, default=DEFAULT_EXACT_CUTOFF)
     p.add_argument("--out", required=True, help="CSV output path")
@@ -208,10 +208,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    if args.tree:
+        _refuse_options(args, "--tree", "--k", "--density")
     config = BenchConfig(sizes=_decimal_list(args.sizes, "bad sizes list"),
-                         trials=args.trials, density=args.density,
+                         trials=args.trials,
+                         density=0.5 if args.density is None else args.density,
                          seed=args.seed, budget_mode=args.budget_mode,
-                         k=args.k, tree=args.tree,
+                         k=3 if args.k is None else args.k, tree=args.tree,
                          exact_cutoff=args.exact_cutoff)
     records, summary = run_bench(config)
     with open(args.out, "w", encoding="utf-8", newline="") as f:

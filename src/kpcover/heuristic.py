@@ -8,8 +8,15 @@ retired NOT_SELECTED with its edges left intact, so neighbors can still cover
 them. Otherwise the vertex is selected tentatively and a lookahead
 (make_decision) asks whether the rest of the live edges could still be
 covered greedily within the residual part budgets; if not, the selection is
-undone, the stashed edges are restored bit for bit, and the vertex is retired
-NOT_SELECTED.
+undone, the stashed neighbours get their live degrees back, and the vertex is
+retired NOT_SELECTED.
+
+An edge is live exactly while neither endpoint is SELECTED. The state keeps
+that once: bit v of the integer `unselected` is set while v is not SELECTED,
+and the edge (u, v) is live iff bits u and v are both set. Each vertex's
+neighbour bitmask is built once and never written again, so a selection or
+its undo changes one bit and the live degrees of its live neighbours, and no
+per-vertex mask.
 
 The NOT_USED vertices are kept three times over: as an ascending list `open`,
 one ascending list per part, `open_in_part[p]`, and one bitmask per part,
@@ -23,12 +30,12 @@ The lookahead batches its picks by part. Every part is an independent set
 (validate_instance rejects intra-part edges), so a pick never changes how
 many unvisited edges another member of its own part touches. make_decision
 therefore counts each part's candidates once per call: the first part it
-ranks reads live_degree, later parts take one popcount of a live-neighbour
-bitmask per NOT_USED member. A part whose positive members all fit in its
-residual budget needs no sort at all, and joins the picks as its whole
-open_mask; only a part that must be truncated is ranked. The picks, the
-verdict and op_count are the same as rescanning the part and walking the
-pick's edges after every pick.
+ranks reads live_degree, later parts take one popcount per NOT_USED member
+of its neighbour bitmask masked by `unselected` less the earlier picks. A
+part whose positive members all fit in its residual budget needs no sort at
+all, and joins the picks as its whole open_mask; only a part that must be
+truncated is ranked. The picks, the verdict and op_count are the same as
+rescanning the part and walking the pick's edges after every pick.
 
 The heuristic can paint itself into a corner; that surfaces as a
 HeuristicFailure result carrying the uncovered edges, never as
@@ -76,17 +83,21 @@ class CoverResult:
 class HeuristicState:
     """Mutable working state for one solve call.
 
-    Keeps a live-edge overlay of the immutable input graph: bit u of
-    live_mask[v] is set while edge (u, v) is still present, live_degree[v]
-    counts those bits and live_count the live edges. state[v] holds the
-    tri-state label, b[p] the selected count of part p, stash the neighbours
-    whose edges to the current tentative selection it removed. open lists the
-    NOT_USED vertices in ascending order, open_in_part[p] those of part p and
-    bit v of open_mask[p] is set while v is one of them; retire is the only
-    way out of NOT_USED, and it updates all three. open_in_part[p] starts as
-    a list of inst.partition.parts[p], which is ascending already, and
-    open_mask[p] from that list; no other copy of a part is kept. The masks
-    take at most one bit per vertex id per part, k * n bits in all.
+    An edge is live while neither endpoint is SELECTED. nbr_mask[v] has bit
+    u set for every neighbour u of v and is never written after __init__;
+    bit v of unselected is set while state[v] is not SELECTED, so the live
+    neighbours of a vertex that is not selected are the bits of
+    nbr_mask[v] & unselected. live_degree[v] counts them (0 for a selected
+    v) and live_count the live edges. state[v] holds the tri-state label,
+    b[p] the selected count of part p, stash the neighbours whose edges to
+    the current tentative selection it took out of the live edges. open
+    lists the NOT_USED vertices in ascending order, open_in_part[p] those of
+    part p and bit v of open_mask[p] is set while v is one of them; retire
+    is the only way out of NOT_USED, and it updates all three.
+    open_in_part[p] starts as a list of inst.partition.parts[p], which is
+    ascending already, and open_mask[p] from that list; no other copy of a
+    part is kept. The open masks take at most one bit per vertex id per
+    part, k * n bits in all.
     """
 
     def __init__(self, inst: Instance):
@@ -94,7 +105,8 @@ class HeuristicState:
         self.n = g.n
         self.adjacency = g.adjacency
         self.full = (1 << (self.n + 1)) - 1  # every vertex bit, kept positive
-        self.live_mask = [sum(1 << u for u in nbrs) for nbrs in g.adjacency]
+        self.nbr_mask = [sum(1 << u for u in nbrs) for nbrs in g.adjacency]
+        self.unselected = self.full
         self.live_degree = [len(nbrs) for nbrs in g.adjacency]
         self.live_count = g.m
         self.state = [NOT_USED] * (self.n + 1)
@@ -118,35 +130,30 @@ class HeuristicState:
         self.open_mask[p] ^= 1 << v
 
     def tentative_select(self, v: int) -> None:
-        """Mark v selected, stash and remove its live edges."""
+        """Mark v selected and stash the neighbours its live edges reach."""
         self.retire(v, SELECTED)
         self.b[self.part_of[v]] += 1
-        bit = 1 << v
-        mask, deg = self.live_mask, self.live_degree
-        stash = []
-        for u in self.adjacency[v]:
-            if mask[u] & bit:
-                mask[u] ^= bit
-                deg[u] -= 1
-                stash.append(u)
-        mask[v] = deg[v] = 0
+        self.unselected ^= 1 << v
+        labels, deg = self.state, self.live_degree
+        stash = [u for u in self.adjacency[v] if labels[u] != SELECTED]
+        for u in stash:
+            deg[u] -= 1
+        deg[v] = 0
         self.live_count -= len(stash)
         self.op_count += len(stash)
         self.stash = stash
 
     def undo_tentative(self, v: int) -> None:
-        """Retire v as not-selected and restore the stashed edges exactly.
+        """Retire v as not-selected and make its stashed edges live again.
 
         v left the open lists when it was selected, so they stay as they are.
         """
         self.state[v] = NOT_SELECTED
         self.b[self.part_of[v]] -= 1
-        bit = 1 << v
-        mask, deg = self.live_mask, self.live_degree
+        self.unselected |= 1 << v
+        deg = self.live_degree
         for u in self.stash:
-            mask[u] |= bit
             deg[u] += 1
-            mask[v] |= 1 << u
         deg[v] = len(self.stash)
         self.live_count += len(self.stash)
         self.op_count += len(self.stash)
@@ -181,8 +188,10 @@ def make_decision(state: HeuristicState) -> bool:
     edges), so a pick never changes the unvisited degree of another member of
     its own part. Each part's counts are therefore taken once, over
     open_in_part[p]: live_degree while nothing is picked yet, otherwise
-    popcount(live_mask[v] & unpicked) with unpicked the complement of the
-    earlier parts' picks. The picks are the members in descending count
+    popcount(nbr_mask[v] & (unselected ^ picked)). A member v is not
+    selected, so its live edges are those to the unselected bits of
+    nbr_mask[v]; the earlier parts' picks are all NOT_USED, so the XOR
+    clears exactly their bits. The picks are the members in descending count
     order, the same picks in the same order as re-scanning after every pick.
 
     No edge joins two members of a part, so the counts of a part sum to the
@@ -202,7 +211,7 @@ def make_decision(state: HeuristicState) -> bool:
         return True
     remaining = state.live_count
     picked = 0  # bitmask of this call's picks
-    mask, deg = state.live_mask, state.live_degree
+    nbr, deg = state.nbr_mask, state.live_degree
     residuals = [0, *map(sub, state.limits, state.b[1:])]
     # the sort is stable with reverse=True too: equal residuals keep the
     # lower part id first
@@ -212,8 +221,8 @@ def make_decision(state: HeuristicState) -> bool:
             break  # every later part has no residual either
         members = state.open_in_part[p]
         if picked:
-            unpicked = state.full ^ picked
-            counts = [(mask[v] & unpicked).bit_count() for v in members]
+            unpicked = state.unselected ^ picked
+            counts = [(nbr[v] & unpicked).bit_count() for v in members]
         else:
             counts = list(map(deg.__getitem__, members))
         positive = len(counts) - counts.count(0)
@@ -245,7 +254,6 @@ def solve_cvck(inst: Instance) -> CoverResult:
     """
     validate_instance(inst).check()
     state = HeuristicState(inst)
-    start = state.live_mask.copy()
     for _ in range(state.n + 1):
         v = extract_max(state)
         if v is None:
@@ -261,13 +269,14 @@ def solve_cvck(inst: Instance) -> CoverResult:
         raise AssertionError("heuristic loop exceeded n iterations")
 
     cover = frozenset(v for v in range(1, state.n + 1) if state.state[v] == SELECTED)
-    mask, keep = state.live_mask, state.full ^ sum(1 << v for v in cover)
-    # overlay consistency on both endpoints: live edges are those the cover misses
-    assert all(m == (0 if label == SELECTED else s & keep)
-               for m, label, s in zip(mask, state.state, start))
-    uncovered = tuple(e for e in inst.graph.sorted_edges()
-                      if mask[e[0]] >> e[1] & 1) if any(mask) else ()
-    assert len(uncovered) == state.live_count
+    unselected, deg = state.unselected, state.live_degree
+    # liveness on both endpoints: the live edges are those the cover misses
+    assert unselected == state.full ^ sum(1 << v for v in cover)
+    assert all(d == (0 if label == SELECTED else (m & unselected).bit_count())
+               for d, label, m in zip(deg, state.state, state.nbr_mask))
+    assert 2 * state.live_count == sum(deg)
+    uncovered = tuple((u, w) for u, w in inst.graph.sorted_edges()
+                      if u not in cover and w not in cover) if any(deg) else ()
     status = SUCCESS if not uncovered else HEURISTIC_FAILURE
     return CoverResult(status=status, cover=cover,
                        per_part_usage=tuple(state.b[1:]),

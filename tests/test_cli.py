@@ -419,6 +419,23 @@ class TestBench:
         assert len(rows) == 18
         assert {row.split(",")[5] for row in rows} == {"exact"}
 
+    @pytest.mark.parametrize("flags, option", [
+        (["--k", "7"], "--k"),
+        (["--density", "3"], "--density"),
+        (["--density", "0"], "--density"),
+        (["--k", "7", "--density", "3"], "--k"),
+    ], ids=["k", "density", "density-0", "k-and-density"])
+    def test_tree_refuses_k_and_density(self, tmp_path, capsys, flags, option):
+        # a tree ensemble draws neither option, so the summary would echo a
+        # value its rows do not have
+        out_path = tmp_path / "bench.csv"
+        assert main(["bench", "--sizes", "8", "--trials", "1", "--tree", *flags,
+                     "--out", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --tree does not take {option}\n"
+        assert not out_path.exists()
+
     def test_gap_never_negative_and_2approx_bound(self, tmp_path, capsys):
         out_path = str(tmp_path / "gaps.csv")
         assert main(["bench", "--sizes", "8,10,12", "--trials", "4", "--seed", "4",

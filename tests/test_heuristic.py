@@ -10,10 +10,12 @@ the part for the best vertex after every pick and walks the pick's incident
 edges. make_decision counts each part once instead; the tests hold the two to
 the same verdict and the same op_count on every call, and check that the
 state's open lists and per-part open masks hold exactly the NOT_USED
-vertices after every step. Both checks read each part's members from the
-partition's part_of, not from the parts the state's lists start from, and
-the ensemble holds parts that are contiguous id ranges (gen_kpartite) and
-parts that interleave (gen_tree's level parity, greedy_partition).
+vertices after every step. The reference reads an edge's liveness from the
+labels (neither endpoint SELECTED), not from the state's masks. Both checks
+read each part's members from the partition's part_of, not from the parts
+the state's lists start from, and the ensemble holds parts that are
+contiguous id ranges (gen_kpartite) and parts that interleave (gen_tree's
+level parity, greedy_partition).
 """
 
 from __future__ import annotations
@@ -80,7 +82,8 @@ def reference_make_decision(state: HeuristicState,
             picks += 1
             for other in sorted(state.adjacency[best]):
                 edge = (min(best, other), max(best, other))
-                if state.live_mask[best] >> other & 1 and edge not in vis:
+                # best is NOT_USED, so the edge is live iff other is not SELECTED
+                if vstate[other] != SELECTED and edge not in vis:
                     vis.add(edge)
                     remaining -= 1
                     if ud[other] > 0:
@@ -148,7 +151,9 @@ def lookahead_instances():
 
 def assert_open_lists(state: HeuristicState) -> None:
     """open and open_in_part hold exactly the NOT_USED vertices, ascending,
-    and open_mask[p] has exactly the bits of open_in_part[p]."""
+    and open_mask[p] has exactly the bits of open_in_part[p]; nbr_mask still
+    holds the adjacency's masks, and unselected the bits of every vertex
+    that is not SELECTED."""
     def not_used(vertices):
         return [v for v in vertices if state.state[v] == NOT_USED]
     assert state.open == not_used(range(1, state.n + 1))
@@ -156,6 +161,10 @@ def assert_open_lists(state: HeuristicState) -> None:
                                   for members in part_members(state)]
     assert state.open_mask == [sum(1 << v for v in members)
                                for members in state.open_in_part]
+    assert state.nbr_mask == [sum(1 << u for u in nbrs)
+                              for nbrs in state.adjacency]
+    assert state.unselected == state.full ^ sum(
+        1 << v for v in range(1, state.n + 1) if state.state[v] == SELECTED)
 
 
 @pytest.fixture(scope="module")
@@ -164,7 +173,8 @@ def checked_solves() -> Counter:
 
     Every make_decision call is held to the reference, and the open lists
     and masks are checked after every tentative_select and undo_tentative
-    and on entry to every extract_max, which follows each budget-full skip.
+    and on entry to every extract_max, which follows each budget-full skip;
+    so are the neighbour masks and the unselected mask.
     Events of instances with a part that is not an id range are counted
     again under "interleaved ...".
     """
@@ -220,6 +230,25 @@ def star_instance(limits=(1, 3)):
                     make_partition(2, [1, 2, 2, 2]), Budgets(limits))
 
 
+def raise_a_live_degree(state: HeuristicState, cover: frozenset[int]) -> None:
+    state.live_degree[1] += 1
+
+
+def set_a_selected_bit(state: HeuristicState, cover: frozenset[int]) -> None:
+    state.unselected |= 1 << min(cover)
+
+
+def clear_an_unread_bit(state: HeuristicState, cover: frozenset[int]) -> None:
+    # every neighbour of v is in the cover, so no live degree reads v's bit
+    v = min(v for v in range(1, state.n + 1) if v not in cover
+            and state.adjacency[v] and set(state.adjacency[v]) <= cover)
+    state.unselected ^= 1 << v
+
+
+def zero_live_count(state: HeuristicState, cover: frozenset[int]) -> None:
+    state.live_count = 0
+
+
 class TestExtractMax:
     def test_path_center_has_max_degree(self):
         state = HeuristicState(path_instance())
@@ -260,7 +289,7 @@ class TestMakeDecision:
         state.tentative_select(2)
 
         def snapshot():
-            return (list(state.live_mask), list(state.live_degree),
+            return (state.unselected, list(state.live_degree),
                     state.live_count, list(state.b), list(state.state))
         before = snapshot()
         make_decision(state)
@@ -335,16 +364,19 @@ class TestStateMechanics:
 
     def test_undo_restores_overlay_exactly(self):
         state = HeuristicState(path_instance((1, 1)))
-        assert state.live_mask == [0, 0b100, 0b1010, 0b100]
-        snapshot = (list(state.live_mask), list(state.live_degree),
+        assert state.nbr_mask == [0, 0b100, 0b1010, 0b100]
+        assert state.unselected == 0b1111
+        assert state.live_degree == [0, 1, 2, 1]
+        snapshot = (state.unselected, list(state.live_degree),
                     list(state.b), state.live_count)
         state.tentative_select(2)
         assert state.live_count == 0 and state.b[2] == 1
-        assert state.live_mask == [0] * 4 and state.live_degree == [0] * 4
+        assert state.unselected == 0b1011 and state.live_degree == [0] * 4
         state.undo_tentative(2)
-        assert (list(state.live_mask), list(state.live_degree),
+        assert (state.unselected, list(state.live_degree),
                 list(state.b), state.live_count) == snapshot
         assert state.state[2] == NOT_SELECTED
+        assert state.nbr_mask == [0, 0b100, 0b1010, 0b100]  # never written
 
     def test_stash_only_holds_live_edges(self):
         state = HeuristicState(path_instance((1, 1)))
@@ -406,8 +438,9 @@ class TestSolve:
             solve_cvck(bad)
 
     def test_overlay_check_reads_both_endpoints(self, monkeypatch):
-        # after the last extract_max, set the lower endpoint's bit in the
-        # higher endpoint's mask of a covered edge: the solve must not end
+        # after the last extract_max, count a covered edge as live at both
+        # endpoints and in live_count: the totals agree, so only the
+        # per-vertex check can stop the solve
         inst = gen_kpartite(GenSpec(n=12, k=3, density=0.5, seed=5))
         real = heuristic.extract_max
 
@@ -416,7 +449,34 @@ class TestSolve:
             if v is None:
                 u, w = next((u, w) for u, w in inst.graph.sorted_edges()
                             if SELECTED in (state.state[u], state.state[w]))
-                state.live_mask[w] |= 1 << u
+                state.live_degree[u] += 1
+                state.live_degree[w] += 1
+                state.live_count += 1
+            return v
+
+        monkeypatch.setattr(heuristic, "extract_max", corrupting_extract_max)
+        with pytest.raises(AssertionError):
+            solve_cvck(inst)
+
+    @pytest.mark.parametrize("corrupt", [
+        raise_a_live_degree, set_a_selected_bit, clear_an_unread_bit,
+        zero_live_count,
+    ], ids=["live-degree", "selected-bit-set", "unselected-bit-cleared",
+            "live-count"])
+    def test_end_check_catches_a_corrupted_state(self, monkeypatch, corrupt):
+        # the solve ends with a vertex in the cover and edges uncovered;
+        # after the last extract_max one field is corrupted, and the solve
+        # must raise rather than return any result
+        inst = gen_kpartite(GenSpec(n=9, k=3, density=0.4, seed=174,
+                                    budget_mode="exact"))
+        res = solve_cvck(inst)
+        assert res.cover and res.uncovered_edges
+        real = heuristic.extract_max
+
+        def corrupting_extract_max(state):
+            v = real(state)
+            if v is None:
+                corrupt(state, res.cover)
             return v
 
         monkeypatch.setattr(heuristic, "extract_max", corrupting_extract_max)
