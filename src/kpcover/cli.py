@@ -150,6 +150,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 value = " ".join(str(v) for v in value)
             elif key == "wall_ms":
                 value = f"{value:.3f}"
+            elif not isinstance(value, str):  # null, true and false as in JSON
+                value = json.dumps(value)
             print(f"{key}: {value}")
     return EXIT_BY_STATUS.get(fields["status"], EXIT_OK)
 

@@ -8,23 +8,27 @@ retired NOT_SELECTED with its edges left intact, so neighbors can still cover
 them. Otherwise the vertex is selected tentatively and a lookahead
 (make_decision) asks whether the rest of the live edges could still be
 covered greedily within the residual part budgets; if not, the selection is
-undone, the stashed neighbours get their live degrees back, and the vertex is
+undone, its NOT_USED neighbours get their live degrees back, and the vertex is
 retired NOT_SELECTED.
 
 An edge is live exactly while neither endpoint is SELECTED. The state keeps
 that once: bit v of the integer `unselected` is set while v is not SELECTED,
 and the edge (u, v) is live iff bits u and v are both set. Each vertex's
 neighbour bitmask is built once and never written again, so a selection or
-its undo changes one bit and the live degrees of its live neighbours, and no
-per-vertex mask.
+its undo changes one bit and the live degrees of its NOT_USED neighbours, and
+no per-vertex mask.
 
-The NOT_USED vertices are kept three times over: as an ascending list `open`,
-one ascending list per part, `open_in_part[p]`, and one bitmask per part,
-`open_mask[p]`; a vertex leaves all three once, on its one retirement from
-NOT_USED. The per-part lists and masks start from the partition's parts,
+live_degree is also the pick key. It holds the live degree of each NOT_USED
+vertex and 0 for every retired one, so extract_max takes the maximum of the
+whole list and its first index, both in C, with no list of the open
+vertices. The NOT_USED vertices of each part are kept twice: as an ascending
+list `open_in_part[p]`, from which the lookahead reads each part's
+candidates, and as a bitmask `open_mask[p]`; a vertex leaves both once, on
+its one retirement from NOT_USED. Both start from the partition's parts,
 which are ascending tuples already, so the state sorts and copies no part.
-extract_max reads live degrees over `open` only, and the lookahead reads
-each part's candidates from `open_in_part`.
+The lookahead is transactional, so an undo sees the labels its selection
+saw and recomputes the neighbours that selection touched; nothing is kept
+between the two.
 
 The lookahead batches its picks by part. Every part is an independent set
 (validate_instance rejects intra-part edges), so a pick never changes how
@@ -87,13 +91,14 @@ class HeuristicState:
     u set for every neighbour u of v and is never written after __init__;
     bit v of unselected is set while state[v] is not SELECTED, so the live
     neighbours of a vertex that is not selected are the bits of
-    nbr_mask[v] & unselected. live_degree[v] counts them (0 for a selected
-    v) and live_count the live edges. state[v] holds the tri-state label,
-    b[p] the selected count of part p, stash the neighbours whose edges to
-    the current tentative selection it took out of the live edges. open
-    lists the NOT_USED vertices in ascending order, open_in_part[p] those of
-    part p and bit v of open_mask[p] is set while v is one of them; retire
-    is the only way out of NOT_USED, and it updates all three.
+    nbr_mask[v] & unselected. live_degree[v] counts them while v is
+    NOT_USED and reads 0 once v is retired, SELECTED or NOT_SELECTED; a
+    NOT_SELECTED vertex's edges still count in its neighbours' live degrees
+    and in live_count, the number of live edges. state[v] holds the
+    tri-state label and b[p] the selected count of part p. open_in_part[p]
+    lists the NOT_USED vertices of part p in ascending order and bit v of
+    open_mask[p] is set while v is one of them; retire is the only way out
+    of NOT_USED, and it updates both and zeroes the live degree.
     open_in_part[p] starts as a list of inst.partition.parts[p], which is
     ascending already, and open_mask[p] from that list; no other copy of a
     part is kept. The open masks take at most one bit per vertex id per
@@ -114,64 +119,61 @@ class HeuristicState:
         self.part_of = inst.partition.part_of
         self.limits = inst.budgets.limits
         self.b = [0] * (self.k + 1)
-        self.open = list(range(1, self.n + 1))
         self.open_in_part = list(map(list, inst.partition.parts))
         self.open_mask = [sum(1 << v for v in members) for members in self.open_in_part]
-        self.stash: list[int] = []
         self.op_count = 0
 
     def retire(self, v: int, label: int) -> None:
-        """Label NOT_USED vertex v and drop it from the open lists and mask."""
+        """Label NOT_USED vertex v, zero its live degree and drop it from its
+        part's open list and mask."""
         self.state[v] = label
+        self.live_degree[v] = 0
         p = self.part_of[v]
         members = self.open_in_part[p]
         del members[bisect_left(members, v)]
-        del self.open[bisect_left(self.open, v)]
         self.open_mask[p] ^= 1 << v
 
+    def _shift_live_edges(self, v: int, step: int) -> None:
+        """Add step to the live degree of each NOT_USED neighbour of v and
+        step per live edge at v to live_count; op_count counts those edges."""
+        labels, deg = self.state, self.live_degree
+        for u in self.adjacency[v]:
+            if labels[u] == NOT_USED:
+                deg[u] += step
+        live = (self.nbr_mask[v] & self.unselected).bit_count()
+        self.live_count += step * live
+        self.op_count += live
+
     def tentative_select(self, v: int) -> None:
-        """Mark v selected and stash the neighbours its live edges reach."""
+        """Mark v selected and take its live edges out of the working graph."""
         self.retire(v, SELECTED)
         self.b[self.part_of[v]] += 1
         self.unselected ^= 1 << v
-        labels, deg = self.state, self.live_degree
-        stash = [u for u in self.adjacency[v] if labels[u] != SELECTED]
-        for u in stash:
-            deg[u] -= 1
-        deg[v] = 0
-        self.live_count -= len(stash)
-        self.op_count += len(stash)
-        self.stash = stash
+        self._shift_live_edges(v, -1)
 
     def undo_tentative(self, v: int) -> None:
-        """Retire v as not-selected and make its stashed edges live again.
+        """Retire v as not-selected and make its edges live again.
 
-        v left the open lists when it was selected, so they stay as they are.
+        The lookahead changes no label, so v's NOT_USED neighbours are those
+        its selection reached. v left the open lists and its live degree
+        read 0 when it was selected, so they stay as they are.
         """
         self.state[v] = NOT_SELECTED
         self.b[self.part_of[v]] -= 1
         self.unselected |= 1 << v
-        deg = self.live_degree
-        for u in self.stash:
-            deg[u] += 1
-        deg[v] = len(self.stash)
-        self.live_count += len(self.stash)
-        self.op_count += len(self.stash)
-        self.stash = []
+        self._shift_live_edges(v, 1)
 
 
 def extract_max(state: HeuristicState) -> int | None:
     """NOT_USED vertex of maximum live degree >= 1; ties to the lowest id.
 
-    Reads only the open list, but still counts n operations per call.
+    Reads only live_degree, where every retired vertex reads 0, and counts
+    n operations per call.
     """
     state.op_count += state.n
-    if not state.open:
-        return None
     deg = state.live_degree
-    # max keeps the first of equal keys, and open is ascending: lowest id
-    v = max(state.open, key=deg.__getitem__)
-    return v if deg[v] else None
+    d = max(deg)
+    return deg.index(d) if d else None  # index finds the lowest id
 
 
 def make_decision(state: HeuristicState) -> bool:
@@ -269,14 +271,16 @@ def solve_cvck(inst: Instance) -> CoverResult:
         raise AssertionError("heuristic loop exceeded n iterations")
 
     cover = frozenset(v for v in range(1, state.n + 1) if state.state[v] == SELECTED)
-    unselected, deg = state.unselected, state.live_degree
+    unselected, labels = state.unselected, state.state
     # liveness on both endpoints: the live edges are those the cover misses
     assert unselected == state.full ^ sum(1 << v for v in cover)
-    assert all(d == (0 if label == SELECTED else (m & unselected).bit_count())
-               for d, label, m in zip(deg, state.state, state.nbr_mask))
-    assert 2 * state.live_count == sum(deg)
+    live = [(m & unselected).bit_count() for m in state.nbr_mask]
+    assert all(d == (c if label == NOT_USED else 0)
+               for d, c, label in zip(state.live_degree, live, labels))
+    live_ends = sum(c for c, label in zip(live, labels) if label != SELECTED)
+    assert 2 * state.live_count == live_ends
     uncovered = tuple((u, w) for u, w in inst.graph.sorted_edges()
-                      if u not in cover and w not in cover) if any(deg) else ()
+                      if u not in cover and w not in cover) if live_ends else ()
     status = SUCCESS if not uncovered else HEURISTIC_FAILURE
     return CoverResult(status=status, cover=cover,
                        per_part_usage=tuple(state.b[1:]),

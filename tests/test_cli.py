@@ -207,6 +207,19 @@ class TestSolve:
         out = capsys.readouterr().out
         assert "status: Success" in out and "cover: 2" in out
 
+    @pytest.mark.parametrize("text, algo, code, lines", [
+        (ZERO_BUDGET_FILE, "exact", 5, ["size: null", "per_part_usage: null"]),
+        (ZERO_BUDGET_FILE, "2approx", 0, ["budget_violation: true"]),
+        (ZERO_BUDGET_FILE.replace(" 0\n", " 1\n"), "2approx", 0,
+         ["budget_violation: false"]),
+    ], ids=["exact-infeasible", "2approx-violation", "2approx-no-violation"])
+    def test_text_output_prints_json_scalars(self, tmp_path, capsys, text,
+                                             algo, code, lines):
+        path = write(tmp_path, "z.kpvc", text)
+        assert main(["solve", path, "--algo", algo, "--output", "text"]) == code
+        out = capsys.readouterr().out.splitlines()
+        assert all(line in out for line in lines), out
+
 
 class TestGen:
     def test_k2_instance(self, capsys):

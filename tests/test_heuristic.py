@@ -9,8 +9,9 @@ reference_make_decision is the per-pick form of the lookahead: it re-scans
 the part for the best vertex after every pick and walks the pick's incident
 edges. make_decision counts each part once instead; the tests hold the two to
 the same verdict and the same op_count on every call, and check that the
-state's open lists and per-part open masks hold exactly the NOT_USED
-vertices after every step. The reference reads an edge's liveness from the
+state's per-part open lists and masks hold exactly the NOT_USED vertices,
+and live_degree the live degree of each of them and 0 for every other
+vertex, after every step. The reference reads an edge's liveness from the
 labels (neither endpoint SELECTED), not from the state's masks. Both checks
 read each part's members from the partition's part_of, not from the parts
 the state's lists start from, and the ensemble holds parts that are
@@ -150,13 +151,14 @@ def lookahead_instances():
 
 
 def assert_open_lists(state: HeuristicState) -> None:
-    """open and open_in_part hold exactly the NOT_USED vertices, ascending,
-    and open_mask[p] has exactly the bits of open_in_part[p]; nbr_mask still
-    holds the adjacency's masks, and unselected the bits of every vertex
-    that is not SELECTED."""
+    """open_in_part holds exactly the NOT_USED vertices of each part,
+    ascending, and open_mask[p] has exactly the bits of open_in_part[p];
+    nbr_mask still holds the adjacency's masks, and unselected the bits of
+    every vertex that is not SELECTED. live_degree[v] counts v's neighbours
+    that are not SELECTED while v is NOT_USED and reads 0 otherwise, and
+    live_count is the number of edges with neither endpoint SELECTED."""
     def not_used(vertices):
         return [v for v in vertices if state.state[v] == NOT_USED]
-    assert state.open == not_used(range(1, state.n + 1))
     assert state.open_in_part == [not_used(members)
                                   for members in part_members(state)]
     assert state.open_mask == [sum(1 << v for v in members)
@@ -165,6 +167,13 @@ def assert_open_lists(state: HeuristicState) -> None:
                               for nbrs in state.adjacency]
     assert state.unselected == state.full ^ sum(
         1 << v for v in range(1, state.n + 1) if state.state[v] == SELECTED)
+    labels = state.state
+    assert state.live_degree == [
+        sum(labels[u] != SELECTED for u in state.adjacency[v])
+        if labels[v] == NOT_USED else 0 for v in range(state.n + 1)]
+    assert state.live_count == sum(
+        labels[u] != SELECTED and labels[w] != SELECTED
+        for u in range(state.n + 1) for w in state.adjacency[u] if u < w)
 
 
 @pytest.fixture(scope="module")
@@ -268,6 +277,24 @@ class TestExtractMax:
         state.retire(2, NOT_SELECTED)
         assert extract_max(state) == 1
 
+    def test_budget_full_centre_leaves_the_pick(self, monkeypatch):
+        # the centre's part has budget 0, so solve_cvck's budget check
+        # retires it NOT_SELECTED while it still has the highest degree; the
+        # next pick must be a leaf, and the leaves and live_count still count
+        # the centre's edges
+        real = heuristic.extract_max
+        seen = []
+
+        def recording_extract_max(state):
+            v = real(state)
+            seen.append((v, list(state.live_degree), state.live_count))
+            return v
+
+        monkeypatch.setattr(heuristic, "extract_max", recording_extract_max)
+        res = solve_cvck(star_instance((0, 3)))
+        assert seen[:2] == [(1, [0, 3, 1, 1, 1], 3), (2, [0, 0, 1, 1, 1], 3)]
+        assert res.success and res.cover == frozenset({2, 3, 4})
+
 
 class TestMakeDecision:
     def test_no_live_edges_is_trivially_coverable(self):
@@ -367,26 +394,26 @@ class TestStateMechanics:
         assert state.nbr_mask == [0, 0b100, 0b1010, 0b100]
         assert state.unselected == 0b1111
         assert state.live_degree == [0, 1, 2, 1]
-        snapshot = (state.unselected, list(state.live_degree),
-                    list(state.b), state.live_count)
+        snapshot = (state.unselected, list(state.b), state.live_count)
         state.tentative_select(2)
         assert state.live_count == 0 and state.b[2] == 1
         assert state.unselected == 0b1011 and state.live_degree == [0] * 4
         state.undo_tentative(2)
-        assert (state.unselected, list(state.live_degree),
-                list(state.b), state.live_count) == snapshot
+        assert (state.unselected, list(state.b), state.live_count) == snapshot
+        # the leaves count their edges to 2 again; 2 is retired and reads 0
+        assert state.live_degree == [0, 1, 0, 1]
         assert state.state[2] == NOT_SELECTED
         assert state.nbr_mask == [0, 0b100, 0b1010, 0b100]  # never written
 
-    def test_stash_only_holds_live_edges(self):
+    def test_select_counts_only_live_edges(self):
         state = HeuristicState(path_instance((1, 1)))
         state.tentative_select(1)
-        assert state.stash == [2]
+        assert (state.live_count, state.op_count) == (1, 1)
         state.tentative_select(2)  # (1, 2) is gone already
-        assert state.stash == [3]
+        assert (state.live_count, state.op_count) == (0, 2)
         state2 = HeuristicState(path_instance((1, 1)))
         state2.tentative_select(2)
-        assert sorted(state2.stash) == [1, 3]
+        assert (state2.live_count, state2.op_count) == (0, 2)
 
 
 class TestSolve:
@@ -439,8 +466,8 @@ class TestSolve:
 
     def test_overlay_check_reads_both_endpoints(self, monkeypatch):
         # after the last extract_max, count a covered edge as live at both
-        # endpoints and in live_count: the totals agree, so only the
-        # per-vertex check can stop the solve
+        # endpoints and in live_count: live_degree and live_count still
+        # agree, so only the checks read from the masks can stop the solve
         inst = gen_kpartite(GenSpec(n=12, k=3, density=0.5, seed=5))
         real = heuristic.extract_max
 
