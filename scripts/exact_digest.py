@@ -24,8 +24,11 @@ checkout's sources:
 
     PYTHONPATH=src python scripts/exact_digest.py
 
-It prints the digests and exits 1 when any differs from the pinned value
-below, so a change that means to alter one of them must update it here.
+It prints the instance counts, the total of exact_cvck's nodes_explored
+over the ensemble (so a change to the search shows as a count, not only as
+a digest mismatch) and the digests, and exits 1 when any digest differs
+from the pinned value below, so a change that means to alter one of them
+must update it here.
 
 The ensemble mixes k-partite instances (n 2..20, k 1..4, densities 0.1 to
 0.8) under slack:0, slack:1, exact and fixed budgets with random trees
@@ -148,6 +151,7 @@ def cvck_outcome(inst) -> bytes:
 def main() -> int:
     digests = {name: hashlib.sha256() for name in EXPECTED}
     kinds: Counter[str] = Counter()
+    nodes = 0
     edit_rng = SplitMix64(20261019)
     t0 = time.perf_counter()
     for kind, inst in instances():
@@ -156,6 +160,7 @@ def main() -> int:
         digests["parse"].update(repr(parse_outcome(edit(text, edit_rng))).encode())
         res = exact_cvck(inst)
         cover = None if res.cover is None else sorted(res.cover)
+        nodes += res.nodes_explored
         digests["exact"].update(repr((
             res.status, cover, res.size, res.nodes_explored,
             sorted(exact_min_vc(inst.graph)))).encode())
@@ -169,6 +174,7 @@ def main() -> int:
         digests["generators"].update(serialize_instance(inst).encode())
     print(sum(kinds.values()), dict(sorted(kinds.items())),
           f"{time.perf_counter() - t0:.1f}s")
+    print("exact_cvck nodes_explored", nodes)
     failed = False
     for name, digest in digests.items():
         got = digest.hexdigest()

@@ -146,8 +146,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(json.dumps(fields))
     else:
         for key, value in fields.items():
-            if isinstance(value, list):  # cover, per_part_usage
-                value = " ".join(str(v) for v in value)
+            if isinstance(value, list):  # cover, per_part_usage; [] as in JSON
+                value = " ".join(str(v) for v in value) or "[]"
             elif key == "wall_ms":
                 value = f"{value:.3f}"
             elif not isinstance(value, str):  # null, true and false as in JSON

@@ -8,7 +8,9 @@ still-uncovered edges (disjoint edges each need a distinct cover vertex).
 Budget violations prune eagerly. Every search keeps its own stack, so its
 depth is not bounded by Python's recursion limit. Among minimum-size
 budget-respecting covers the lexicographically smallest vertex sequence is
-returned, so results are reproducible byte for byte.
+returned, so results are reproducible byte for byte. Both searches settle
+that tie by visit order: each visits its leaves in lexicographic order and
+keeps only a strictly better find.
 """
 
 from __future__ import annotations
@@ -59,25 +61,33 @@ def _min_cover_search(g: Graph, part_of: tuple[int, ...], limits: tuple[int, ...
     sign 1 applies it and pushes the same move with sign -1 below the
     node's children, so that marker pops once every descendant has been
     explored and undoes exactly what the apply added. The branch that puts
-    u in the cover is pushed last, so it is explored first. Counts never
-    pass their limits, so the budget left for the rest of the cover is
-    sum(limits) - len(cover).
+    u in the cover is pushed last, so it is explored first. room[p] is the
+    budget part p has left (index 0 unused). It never goes below 0, so the
+    budget left for the rest of the cover is sum(room), which is
+    total - len(cover).
+
+    Leaves arrive in lexicographic order of their sorted covers, so the
+    search keeps the first leaf of the minimum size. u is the smallest
+    vertex that touches an uncovered edge, so its neighbours below it are in
+    the cover already: every vertex added below a node is >= its u, and the
+    u-out branch always adds some vertex > u (v, at least). Every leaf below
+    the node shares its cover's vertices below u; those of the u-in branch
+    then hold u and those of the u-out branch do not, so each u-in leaf
+    precedes each u-out leaf.
     """
     edges_sorted = g.sorted_edges()
-    adj = g.adjacency
     total = sum(limits)
-    # (size, sorted cover): min() prefers the smaller size, then the
-    # lexicographically smaller vertex sequence
-    best: tuple[int, tuple[int, ...] | None] = (g.n + 1, None)
+    best: list[int] | None = None
+    best_size = g.n + 1
     nodes = 0
     cover: set[int] = set()
     excluded: set[int] = set()
-    counts = [0] * len(limits)
+    room = [0, *limits]
     stack: list[tuple[list[int], int | None, int]] = [([], None, 1)]
     while stack:
         joined, out, sign = stack.pop()
         for w in joined:
-            counts[part_of[w] - 1] += sign
+            room[part_of[w]] -= sign
         if sign < 0:
             cover.difference_update(joined)
             excluded.discard(out)
@@ -100,25 +110,25 @@ def _min_cover_search(g: Graph, part_of: tuple[int, ...], limits: tuple[int, ...
             blocked.add(b)
             lb += 1
         if not lb:
-            best = min(best, (len(cover), tuple(sorted(cover))))
+            if len(cover) < best_size:
+                best_size, best = len(cover), sorted(cover)
             continue
         # prune when the bound passes the best size or the budgets' total
-        if len(cover) + lb > min(best[0], total):
+        if len(cover) + lb > min(best_size, total):
             continue
         # excluding a vertex forces its neighbors in, so an uncovered edge
         # never has an excluded endpoint
         assert u not in excluded
-        forced = [w for w in adj[u] if w not in cover]
-        assert all(w not in excluded for w in forced)
-        after = counts[:]
+        forced = [w for w in g.adjacency[u] if w not in cover]
+        assert excluded.isdisjoint(forced)
+        after = room[:]
         for w in forced:
-            after[part_of[w] - 1] += 1
-        if all(c <= lim for c, lim in zip(after, limits)):
+            after[part_of[w]] -= 1
+        if min(after) >= 0:
             stack.append((forced, u, 1))
-        p = part_of[u] - 1
-        if counts[p] < limits[p]:
+        if room[part_of[u]]:
             stack.append(([u], None, 1))
-    return best[1], nodes
+    return best, nodes
 
 
 def exact_max_clique(g: Graph) -> frozenset[int]:

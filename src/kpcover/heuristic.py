@@ -95,7 +95,8 @@ class HeuristicState:
     NOT_USED and reads 0 once v is retired, SELECTED or NOT_SELECTED; a
     NOT_SELECTED vertex's edges still count in its neighbours' live degrees
     and in live_count, the number of live edges. state[v] holds the
-    tri-state label and b[p] the selected count of part p. open_in_part[p]
+    tri-state label and room[p] the budget part p has left, indexed by part
+    id with index 0 unused, like the partition's parts. open_in_part[p]
     lists the NOT_USED vertices of part p in ascending order and bit v of
     open_mask[p] is set while v is one of them; retire is the only way out
     of NOT_USED, and it updates both and zeroes the live degree.
@@ -115,10 +116,8 @@ class HeuristicState:
         self.live_degree = [len(nbrs) for nbrs in g.adjacency]
         self.live_count = g.m
         self.state = [NOT_USED] * (self.n + 1)
-        self.k = inst.partition.k
         self.part_of = inst.partition.part_of
-        self.limits = inst.budgets.limits
-        self.b = [0] * (self.k + 1)
+        self.room = [0, *inst.budgets.limits]
         self.open_in_part = list(map(list, inst.partition.parts))
         self.open_mask = [sum(1 << v for v in members) for members in self.open_in_part]
         self.op_count = 0
@@ -147,7 +146,7 @@ class HeuristicState:
     def tentative_select(self, v: int) -> None:
         """Mark v selected and take its live edges out of the working graph."""
         self.retire(v, SELECTED)
-        self.b[self.part_of[v]] += 1
+        self.room[self.part_of[v]] -= 1
         self.unselected ^= 1 << v
         self._shift_live_edges(v, -1)
 
@@ -159,7 +158,7 @@ class HeuristicState:
         read 0 when it was selected, so they stay as they are.
         """
         self.state[v] = NOT_SELECTED
-        self.b[self.part_of[v]] -= 1
+        self.room[self.part_of[v]] += 1
         self.unselected |= 1 << v
         self._shift_live_edges(v, 1)
 
@@ -179,12 +178,12 @@ def extract_max(state: HeuristicState) -> int | None:
 def make_decision(state: HeuristicState) -> bool:
     """Greedy coverability lookahead over the live edges.
 
-    Parts are processed in descending residual budget (ties to the lower part
-    id). Within a part, repeatedly pick the NOT_USED vertex touching the most
-    unvisited live edges (at least one; ties to the lowest id), up to the
-    residual budget, marking its incident unvisited edges visited. True iff
-    no live edge stays unvisited. Purely transactional: the picks and visited
-    marks are local to the call.
+    Parts are processed in descending residual budget room[p] (ties to the
+    lower part id). Within a part, repeatedly pick the NOT_USED vertex
+    touching the most unvisited live edges (at least one; ties to the lowest
+    id), up to the residual budget, marking its incident unvisited edges
+    visited. True iff no live edge stays unvisited. Purely transactional:
+    the picks and visited marks are local to the call.
 
     A part is an independent set (validate_instance rejects intra-part
     edges), so a pick never changes the unvisited degree of another member of
@@ -213,12 +212,11 @@ def make_decision(state: HeuristicState) -> bool:
         return True
     remaining = state.live_count
     picked = 0  # bitmask of this call's picks
-    nbr, deg = state.nbr_mask, state.live_degree
-    residuals = [0, *map(sub, state.limits, state.b[1:])]
+    nbr, deg, room = state.nbr_mask, state.live_degree, state.room
     # the sort is stable with reverse=True too: equal residuals keep the
     # lower part id first
-    for p in sorted(range(1, state.k + 1), key=residuals.__getitem__, reverse=True):
-        residual = residuals[p]
+    for p in sorted(range(1, len(room)), key=room.__getitem__, reverse=True):
+        residual = room[p]
         if residual <= 0:
             break  # every later part has no residual either
         members = state.open_in_part[p]
@@ -260,8 +258,7 @@ def solve_cvck(inst: Instance) -> CoverResult:
         v = extract_max(state)
         if v is None:
             break
-        p = state.part_of[v]
-        if state.b[p] + 1 > state.limits[p - 1]:
+        if not state.room[state.part_of[v]]:
             state.retire(v, NOT_SELECTED)  # edges stay live for neighbors
             continue
         state.tentative_select(v)
@@ -283,6 +280,7 @@ def solve_cvck(inst: Instance) -> CoverResult:
                       if u not in cover and w not in cover) if live_ends else ()
     status = SUCCESS if not uncovered else HEURISTIC_FAILURE
     return CoverResult(status=status, cover=cover,
-                       per_part_usage=tuple(state.b[1:]),
+                       per_part_usage=tuple(map(sub, inst.budgets.limits,
+                                                state.room[1:])),
                        op_count=state.op_count,
                        uncovered_edges=uncovered)

@@ -220,6 +220,20 @@ class TestSolve:
         out = capsys.readouterr().out.splitlines()
         assert all(line in out for line in lines), out
 
+    @pytest.mark.parametrize("text, algo, code, cover", [
+        (PATH_FILE, "cvck", 0, "cover: 2"),
+        (ZERO_BUDGET_FILE, "cvck", 4, "cover: []"),
+        (ZERO_BUDGET_FILE, "exact", 5, "cover: []"),
+        (PATH_FILE, "2approx", 0, "cover: 1 2"),
+    ], ids=["cvck-success", "cvck-failure", "exact-infeasible", "2approx"])
+    def test_text_lines_end_without_whitespace(self, tmp_path, capsys, text,
+                                               algo, code, cover):
+        path = write(tmp_path, "z.kpvc", text)
+        assert main(["solve", path, "--algo", algo, "--output", "text"]) == code
+        out = capsys.readouterr().out.splitlines()
+        assert cover in out
+        assert all(line == line.rstrip() for line in out), out
+
 
 class TestGen:
     def test_k2_instance(self, capsys):

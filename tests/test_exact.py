@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from kpcover import (Budgets, GenSpec, Instance, InstanceInvalidError,
                      SplitMix64, build_graph, complement, exact_cvck,
                      exact_max_clique, exact_min_vc, gen_kpartite,
-                     is_vertex_cover, make_partition, respects_budgets,
+                     gen_tree, is_vertex_cover, make_partition, respects_budgets,
                      serialize_instance)
 from kpcover.cli import main
 
@@ -112,6 +112,49 @@ class TestSearchDepth:
         assert main(["solve", str(path), "--algo", "exact"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["status"] == "Feasible" and out["size"] == 1200
+
+
+def tie_heavy_instances():
+    """Seeded k-partite instances (k = 2..4) and trees with 6 <= n <= 12
+    under loose budgets (slack:2, or fixed limits at or above each part's
+    even share), where most instances have several optima."""
+    rng = SplitMix64(0x71E5)
+    for i in range(80):
+        n = 6 + rng.next_below(7)
+        k = 2 + rng.next_below(3)
+        density = (0.2, 0.3, 0.5)[rng.next_below(3)]
+        mode = "slack:2"
+        if i % 2:
+            mode = "fixed:" + ",".join(str(n // k + rng.next_below(3))
+                                       for _ in range(k))
+        yield gen_kpartite(GenSpec(n=n, k=k, density=density,
+                                   seed=rng.next_u64(), budget_mode=mode))
+    for i in range(40):
+        n = 6 + rng.next_below(7)
+        mode = "slack:2"
+        if i % 2:
+            mode = f"fixed:{n // 2 + rng.next_below(2)},{n // 2 + rng.next_below(2)}"
+        yield gen_tree(n, rng.next_u64(), mode)
+
+
+def test_tied_optima_settle_to_the_smallest_sequence():
+    # the search keeps its first optimum in visit order; on every instance
+    # that must be the lexicographically smallest of all optimal covers
+    tied = 0  # covers checked against more than one optimum
+    for inst in tie_heavy_instances():
+        optima = brute_optima(inst)
+        res = exact_cvck(inst)
+        assert res.feasible == bool(optima)
+        if optima:
+            assert tuple(sorted(res.cover)) == min(tuple(sorted(c)) for c in optima)
+            tied += len(optima) > 1
+        free = Instance(inst.graph, inst.partition,
+                        Budgets((inst.graph.n,) * inst.partition.k))
+        vc_optima = brute_optima(free)
+        assert (tuple(sorted(exact_min_vc(inst.graph)))
+                == min(tuple(sorted(c)) for c in vc_optima))
+        tied += len(vc_optima) > 1
+    assert tied >= 170, tied  # 179 of the 240 checks
 
 
 # nodes_explored is part of the oracle's contract: a change to the branch

@@ -11,8 +11,10 @@ edges. make_decision counts each part once instead; the tests hold the two to
 the same verdict and the same op_count on every call, and check that the
 state's per-part open lists and masks hold exactly the NOT_USED vertices,
 and live_degree the live degree of each of them and 0 for every other
-vertex, after every step. The reference reads an edge's liveness from the
-labels (neither endpoint SELECTED), not from the state's masks. Both checks
+vertex, and room each part's limit less its SELECTED members, after every
+step. The reference reads an edge's liveness from the labels (neither
+endpoint SELECTED), not from the state's masks, and each part's residual
+budget from the instance's limits and the labels, not from room. Both checks
 read each part's members from the partition's part_of, not from the parts
 the state's lists start from, and the ensemble holds parts that are
 contiguous id ranges (gen_kpartite) and parts that interleave (gen_tree's
@@ -39,14 +41,22 @@ from oracles import brute_optima
 from strategies import instances
 
 
-def part_members(state: HeuristicState) -> list[list[int]]:
-    """Each part's vertices in ascending id (index 0 empty), read from the
-    partition's part_of."""
+def part_members(state: HeuristicState, k: int) -> list[list[int]]:
+    """Each of the k parts' vertices in ascending id (index 0 empty), read
+    from the partition's part_of."""
     return [[v for v in range(1, state.n + 1) if state.part_of[v] == p]
-            for p in range(state.k + 1)]
+            for p in range(k + 1)]
 
 
-def reference_make_decision(state: HeuristicState,
+def label_room(state: HeuristicState, limits: tuple[int, ...]) -> list[int]:
+    """Each part's residual budget (index 0 unused): its limit less its
+    SELECTED members, counted from the labels."""
+    members_of = part_members(state, len(limits))
+    return [0] + [limit - sum(state.state[v] == SELECTED for v in members)
+                  for limit, members in zip(limits, members_of[1:])]
+
+
+def reference_make_decision(state: HeuristicState, limits: tuple[int, ...],
                             passes: Counter | None = None) -> bool:
     """Per-pick greedy lookahead: re-scan the part after every pick.
 
@@ -60,11 +70,11 @@ def reference_make_decision(state: HeuristicState,
     vis: set[tuple[int, int]] = set()
     ud = state.live_degree.copy()  # unvisited-degree; consulted only for NOT_USED
     vstate = state.state
-    members_of = part_members(state)
-    order = sorted(range(1, state.k + 1),
-                   key=lambda p: (-(state.limits[p - 1] - state.b[p]), p))
+    members_of = part_members(state, len(limits))
+    residuals = label_room(state, limits)
+    order = sorted(range(1, len(limits) + 1), key=lambda p: (-residuals[p], p))
     for i, p in enumerate(order):
-        residual = state.limits[p - 1] - state.b[p]
+        residual = residuals[p]
         members = members_of[p]
         if passes is not None and residual > 0:
             positive = sum(vstate[v] == NOT_USED and ud[v] > 0 for v in members)
@@ -97,11 +107,12 @@ def reference_make_decision(state: HeuristicState,
     return remaining == 0
 
 
-def decide_both(state: HeuristicState,
+def decide_both(state: HeuristicState, limits: tuple[int, ...],
                 passes: Counter | None = None) -> tuple[bool, int]:
-    """make_decision's verdict and op_count delta, checked against the reference."""
+    """make_decision's verdict and op_count delta, checked against the
+    reference; limits are the instance's budgets."""
     before = state.op_count
-    expected = reference_make_decision(state, passes)
+    expected = reference_make_decision(state, limits, passes)
     expected_ops = state.op_count - before
     state.op_count = before
     verdict = make_decision(state)
@@ -150,17 +161,19 @@ def lookahead_instances():
         yield Instance(graph, partition, derive_budgets(graph, partition, mode))
 
 
-def assert_open_lists(state: HeuristicState) -> None:
+def assert_open_lists(state: HeuristicState, limits: tuple[int, ...]) -> None:
     """open_in_part holds exactly the NOT_USED vertices of each part,
     ascending, and open_mask[p] has exactly the bits of open_in_part[p];
     nbr_mask still holds the adjacency's masks, and unselected the bits of
     every vertex that is not SELECTED. live_degree[v] counts v's neighbours
     that are not SELECTED while v is NOT_USED and reads 0 otherwise, and
-    live_count is the number of edges with neither endpoint SELECTED."""
+    live_count is the number of edges with neither endpoint SELECTED.
+    room[p] is limits[p - 1] less the SELECTED vertices of part p."""
     def not_used(vertices):
         return [v for v in vertices if state.state[v] == NOT_USED]
     assert state.open_in_part == [not_used(members)
-                                  for members in part_members(state)]
+                                  for members in part_members(state, len(limits))]
+    assert state.room == label_room(state, limits)
     assert state.open_mask == [sum(1 << v for v in members)
                                for members in state.open_in_part]
     assert state.nbr_mask == [sum(1 << u for u in nbrs)
@@ -190,12 +203,13 @@ def checked_solves() -> Counter:
     events: Counter = Counter()
     select, undo = HeuristicState.tentative_select, HeuristicState.undo_tentative
 
+    # each check reads the budgets of inst, the instance the loop below solves
     def checked_decision(state):
         events["decisions"] += 1
-        return decide_both(state, events)[0]
+        return decide_both(state, inst.budgets.limits, events)[0]
 
     def checked_extract(state):
-        assert_open_lists(state)
+        assert_open_lists(state, inst.budgets.limits)
         events["open-list checks"] += 1
         v = extract_max(state)
         events["picks"] += v is not None
@@ -204,7 +218,7 @@ def checked_solves() -> Counter:
     def checked_step(method, name):
         def step(state, v):
             method(state, v)
-            assert_open_lists(state)
+            assert_open_lists(state, inst.budgets.limits)
             events["open-list checks"] += 1
             events[name] += 1
         return step
@@ -317,7 +331,7 @@ class TestMakeDecision:
 
         def snapshot():
             return (state.unselected, list(state.live_degree),
-                    state.live_count, list(state.b), list(state.state))
+                    state.live_count, list(state.room), list(state.state))
         before = snapshot()
         make_decision(state)
         assert snapshot() == before
@@ -326,27 +340,27 @@ class TestMakeDecision:
         # the leaves' part picks two of three leaves; the center's part has
         # budget 0, so the third leaf edge stays unvisited
         state = HeuristicState(star_instance((0, 2)))
-        assert decide_both(state) == (False, 2)
+        assert decide_both(state, (0, 2)) == (False, 2)
 
     def test_equal_counts_go_to_the_lowest_id(self):
         # 1 and 2 both see two edges; picking 1 leaves (2,3) and (2,5) for
         # parts 2 and 3, picking 2 would leave (1,3) and (1,4) to part 2 alone
         inst = Instance(build_graph(5, [(1, 3), (1, 4), (2, 3), (2, 5)]),
                         make_partition(3, [1, 1, 2, 2, 3]), Budgets((1, 1, 1)))
-        assert decide_both(HeuristicState(inst)) == (True, 3)
+        assert decide_both(HeuristicState(inst), inst.budgets.limits) == (True, 3)
 
     def test_early_exit_counts_the_covering_pick(self):
         # picks 1, 3 and 5, one per part; the third covers the last edge
         inst = Instance(build_graph(5, [(1, 4), (3, 5), (4, 5)]),
                         make_partition(3, [1, 1, 2, 2, 3]), Budgets((2, 1, 1)))
-        assert decide_both(HeuristicState(inst)) == (True, 3)
+        assert decide_both(HeuristicState(inst), inst.budgets.limits) == (True, 3)
 
     def test_later_part_counts_exclude_edges_to_earlier_picks(self):
         # part 1 picks 1 and 5; then 2 (live degree 3) sees one unvisited
         # edge and 3 (live degree 2) sees two, so part 2 picks 3
         inst = Instance(build_graph(6, [(1, 2), (2, 5), (2, 4), (3, 4), (3, 6)]),
                         make_partition(3, [1, 2, 2, 3, 1, 3]), Budgets((2, 1, 1)))
-        assert decide_both(HeuristicState(inst)) == (True, 4)
+        assert decide_both(HeuristicState(inst), inst.budgets.limits) == (True, 4)
 
     def test_matches_the_reference_in_every_solve_call(self, checked_solves):
         assert checked_solves["decisions"] > 1000
@@ -394,12 +408,12 @@ class TestStateMechanics:
         assert state.nbr_mask == [0, 0b100, 0b1010, 0b100]
         assert state.unselected == 0b1111
         assert state.live_degree == [0, 1, 2, 1]
-        snapshot = (state.unselected, list(state.b), state.live_count)
+        snapshot = (state.unselected, list(state.room), state.live_count)
         state.tentative_select(2)
-        assert state.live_count == 0 and state.b[2] == 1
+        assert state.live_count == 0 and state.room == [0, 1, 0]
         assert state.unselected == 0b1011 and state.live_degree == [0] * 4
         state.undo_tentative(2)
-        assert (state.unselected, list(state.b), state.live_count) == snapshot
+        assert (state.unselected, list(state.room), state.live_count) == snapshot
         # the leaves count their edges to 2 again; 2 is retired and reads 0
         assert state.live_degree == [0, 1, 0, 1]
         assert state.state[2] == NOT_SELECTED
