@@ -26,9 +26,9 @@ checkout's sources:
 
 It prints the instance counts, the total of exact_cvck's nodes_explored
 over the ensemble (so a change to the search shows as a count, not only as
-a digest mismatch) and the digests, and exits 1 when any digest differs
-from the pinned value below, so a change that means to alter one of them
-must update it here.
+a digest mismatch) with the seconds exact_cvck took to explore them, and
+the digests, and exits 1 when any digest differs from the pinned value
+below, so a change that means to alter one of them must update it here.
 
 The ensemble mixes k-partite instances (n 2..20, k 1..4, densities 0.1 to
 0.8) under slack:0, slack:1, exact and fixed budgets with random trees
@@ -152,13 +152,16 @@ def main() -> int:
     digests = {name: hashlib.sha256() for name in EXPECTED}
     kinds: Counter[str] = Counter()
     nodes = 0
+    exact_s = 0.0
     edit_rng = SplitMix64(20261019)
     t0 = time.perf_counter()
     for kind, inst in instances():
         text = serialize_instance(inst)
         digests["text"].update(text.encode())
         digests["parse"].update(repr(parse_outcome(edit(text, edit_rng))).encode())
+        t = time.perf_counter()
         res = exact_cvck(inst)
+        exact_s += time.perf_counter() - t
         cover = None if res.cover is None else sorted(res.cover)
         nodes += res.nodes_explored
         digests["exact"].update(repr((
@@ -174,7 +177,8 @@ def main() -> int:
         digests["generators"].update(serialize_instance(inst).encode())
     print(sum(kinds.values()), dict(sorted(kinds.items())),
           f"{time.perf_counter() - t0:.1f}s")
-    print("exact_cvck nodes_explored", nodes)
+    print("exact_cvck nodes_explored", nodes, f"in {exact_s:.2f}s",
+          f"({nodes / exact_s:,.0f} nodes/s)")
     failed = False
     for name, digest in digests.items():
         got = digest.hexdigest()

@@ -59,10 +59,12 @@ def run_bench(config: BenchConfig) -> tuple[list[BenchRecord], str]:
     Instance seeds are drawn from one SplitMix64 stream keyed by the config
     seed, in (size, trial) order, so the ensemble is reproducible. Records
     are emitted in (size, trial, cvck/exact/2approx) order. Returns the
-    records and the summary text computed from them. Sizes must be
-    distinct, because an instance id names only its size and trial, and
-    trials at least 1, so that the ensemble is not empty.
+    records and the summary text computed from them. Sizes must be at
+    least 1 and distinct, because an instance id names only its size and
+    trial, and trials at least 1, so that the ensemble is not empty.
     """
+    if any(n < 1 for n in config.sizes):
+        raise SpecInvalidError(f"sizes must be >= 1, got {list(config.sizes)}")
     if len(set(config.sizes)) < len(config.sizes):
         raise SpecInvalidError(f"repeated size in sizes {list(config.sizes)}")
     if config.trials < 1:

@@ -5,6 +5,8 @@ the budgeted search with a single part of limit n. It branches on an
 uncovered edge (u, v): either u joins the cover, or u is excluded and every
 neighbor of u is forced in. The bound is a greedy maximal matching on the
 still-uncovered edges (disjoint edges each need a distinct cover vertex).
+Each node scans for it from its parent's branching vertex on, since every
+edge whose smaller endpoint lies below that vertex is already covered.
 Budget violations prune eagerly. Every search keeps its own stack, so its
 depth is not bounded by Python's recursion limit. Among minimum-size
 budget-respecting covers the lexicographically smallest vertex sequence is
@@ -15,7 +17,9 @@ keeps only a strictly better find.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
 
 from .graph import Graph, Instance, validate_instance
 
@@ -57,14 +61,22 @@ def _min_cover_search(g: Graph, part_of: tuple[int, ...], limits: tuple[int, ...
     """Depth-first branch and bound over an explicit stack.
 
     A stack entry is a move from a parent node: the vertices it puts in the
-    cover, the vertex it excludes (or None) and a sign. Popping a move with
-    sign 1 applies it and pushes the same move with sign -1 below the
-    node's children, so that marker pops once every descendant has been
-    explored and undoes exactly what the apply added. The branch that puts
-    u in the cover is pushed last, so it is explored first. room[p] is the
-    budget part p has left (index 0 unused). It never goes below 0, so the
-    budget left for the rest of the cover is sum(room), which is
-    total - len(cover).
+    cover, the vertex it excludes (or None), the parent's branching vertex
+    (1 at the root) and a sign. Popping a move with sign 1 applies it and
+    pushes the same move with sign -1 below the node's children, so that
+    marker pops once every descendant has been explored and undoes exactly
+    what the apply added. The branch that puts u in the cover is pushed
+    last, so it is explored first. room[p] is the budget part p has left
+    (index 0 unused). It never goes below 0, so the budget left for the rest
+    of the cover is sum(room), which is total - len(cover).
+
+    Each node starts its matching scan at first[start], the first sorted
+    edge whose smaller endpoint is at least start, its parent's branching
+    vertex. At the parent, start was the smallest vertex on an uncovered
+    edge, and the cover only grows below a node, so every edge before
+    first[start] is covered and a scan from edge 0 would skip each of them.
+    The bound, the branching edge and every prune stay the same; only the
+    walk over covered edges is cut.
 
     Leaves arrive in lexicographic order of their sorted covers, so the
     search keeps the first leaf of the minimum size. u is the smallest
@@ -83,9 +95,11 @@ def _min_cover_search(g: Graph, part_of: tuple[int, ...], limits: tuple[int, ...
     cover: set[int] = set()
     excluded: set[int] = set()
     room = [0, *limits]
-    stack: list[tuple[list[int], int | None, int]] = [([], None, 1)]
+    # first[v]: index of the first sorted edge whose smaller endpoint is >= v
+    first = [bisect_left(edges_sorted, (v,)) for v in range(g.n + 2)]
+    stack: list[tuple[list[int], int | None, int, int]] = [([], None, 1, 1)]
     while stack:
-        joined, out, sign = stack.pop()
+        joined, out, start, sign = stack.pop()
         for w in joined:
             room[part_of[w]] -= sign
         if sign < 0:
@@ -95,13 +109,14 @@ def _min_cover_search(g: Graph, part_of: tuple[int, ...], limits: tuple[int, ...
         cover.update(joined)
         if out is not None:
             excluded.add(out)
-        stack.append((joined, out, -1))
+        stack.append((joined, out, start, -1))
         nodes += 1
         # greedy maximal matching on the uncovered edges; its first edge,
-        # the first uncovered edge in sorted order, is the branching edge
+        # the first uncovered edge in sorted order, is the branching edge;
+        # the edges before first[start] are all covered
         blocked = set(cover)
         lb = 0
-        for a, b in edges_sorted:
+        for a, b in islice(edges_sorted, first[start], None):
             if a in blocked or b in blocked:
                 continue
             if not lb:
@@ -125,9 +140,9 @@ def _min_cover_search(g: Graph, part_of: tuple[int, ...], limits: tuple[int, ...
         for w in forced:
             after[part_of[w]] -= 1
         if min(after) >= 0:
-            stack.append((forced, u, 1))
+            stack.append((forced, u, u, 1))
         if room[part_of[u]]:
-            stack.append(([u], None, 1))
+            stack.append(([u], None, u, 1))
     return best, nodes
 
 

@@ -491,6 +491,17 @@ class TestBench:
         assert capsys.readouterr().err == "error: repeated size in sizes [3, 3]\n"
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("tree", [False, True], ids=["kpartite", "tree"])
+    @pytest.mark.parametrize("sizes", ["0", "-3", "4,0"])
+    def test_size_below_one_exits_2(self, tmp_path, capsys, sizes, tree):
+        # the generators would name k or the tree, not the size given
+        out_path = tmp_path / "bench.csv"
+        argv = ["bench", "--sizes", sizes, "--out", str(out_path)]
+        assert main(argv + ["--tree"] * tree) == 2
+        assert capsys.readouterr().err == (
+            f"error: sizes must be >= 1, got [{sizes.replace(',', ', ')}]\n")
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("trials", ["0", "-1"])
     def test_trials_below_one_exit_2(self, tmp_path, capsys, trials):
         # an empty ensemble would write a header-only CSV and exit 0

@@ -137,24 +137,57 @@ def tie_heavy_instances():
         yield gen_tree(n, rng.next_u64(), mode)
 
 
+def assert_smallest_optima(inst):
+    """Check that exact_cvck and exact_min_vc each return the smallest
+    sorted optimum brute force finds; return exact_cvck's result and both
+    sets of optima."""
+    optima = brute_optima(inst)
+    res = exact_cvck(inst)
+    assert res.feasible == bool(optima)
+    if optima:
+        assert tuple(sorted(res.cover)) == min(tuple(sorted(c)) for c in optima)
+    free = Instance(inst.graph, inst.partition,
+                    Budgets((inst.graph.n,) * inst.partition.k))
+    vc_optima = brute_optima(free)
+    assert (tuple(sorted(exact_min_vc(inst.graph)))
+            == min(tuple(sorted(c)) for c in vc_optima))
+    return res, optima, vc_optima
+
+
 def test_tied_optima_settle_to_the_smallest_sequence():
     # the search keeps its first optimum in visit order; on every instance
     # that must be the lexicographically smallest of all optimal covers
     tied = 0  # covers checked against more than one optimum
     for inst in tie_heavy_instances():
-        optima = brute_optima(inst)
-        res = exact_cvck(inst)
-        assert res.feasible == bool(optima)
-        if optima:
-            assert tuple(sorted(res.cover)) == min(tuple(sorted(c)) for c in optima)
-            tied += len(optima) > 1
-        free = Instance(inst.graph, inst.partition,
-                        Budgets((inst.graph.n,) * inst.partition.k))
-        vc_optima = brute_optima(free)
-        assert (tuple(sorted(exact_min_vc(inst.graph)))
-                == min(tuple(sorted(c)) for c in vc_optima))
-        tied += len(vc_optima) > 1
+        _, optima, vc_optima = assert_smallest_optima(inst)
+        tied += (len(optima) > 1) + (len(vc_optima) > 1)
     assert tied >= 170, tied  # 179 of the 240 checks
+
+
+def star_at_highest_id(limits):
+    """Leaves 1..5 in part 1, centre 6 in part 2: every edge is (v, 6)."""
+    return Instance(build_graph(6, [(v, 6) for v in range(1, 6)]),
+                    make_partition(2, [1, 1, 1, 1, 1, 2]), Budgets(limits))
+
+
+# each node scans edges from first[start], the first edge whose smaller
+# endpoint is at least the parent's branching vertex; these graphs sit at
+# the ends of that table
+@pytest.mark.parametrize("inst, status", [
+    pytest.param(Instance(build_graph(5, []), make_partition(2, [1, 2, 1, 2, 1]),
+                          Budgets((0, 0))), "Feasible", id="edgeless"),
+    pytest.param(Instance(build_graph(8, [(5, 6), (5, 8), (6, 7), (6, 8), (7, 8)]),
+                          make_partition(3, [1, 2, 3, 1, 1, 2, 1, 3]),
+                          Budgets((1, 1, 1))), "Feasible", id="low-ids-isolated"),
+    pytest.param(star_at_highest_id((5, 0)), "Feasible", id="star-centre-out"),
+    pytest.param(star_at_highest_id((5, 1)), "Feasible", id="star-centre-in"),
+    pytest.param(star_at_highest_id((4, 0)), "Infeasible", id="star-infeasible"),
+    pytest.param(gen_kpartite(GenSpec(n=10, k=3, density=0.4, seed=1,
+                                      budget_mode="fixed:2,1,1")),
+                 "Infeasible", id="fixed-infeasible"),
+])
+def test_scan_start_edge_cases(inst, status):
+    assert assert_smallest_optima(inst)[0].status == status
 
 
 # nodes_explored is part of the oracle's contract: a change to the branch
@@ -169,6 +202,9 @@ def test_tied_optima_settle_to_the_smallest_sequence():
     (14, 3, 0.4, 7, "fixed:3,3,3", "Feasible", 8, 27),
     (16, 2, 0.3, 8, "fixed:4,9", "Feasible", 8, 139),
     (14, 3, 0.4, 7, "fixed:2,2,2", "Infeasible", None, 4),
+    (60, 4, 0.1, 1000, "slack:1", "Feasible", 30, 51189),
+    (80, 4, 0.3, 1002, "slack:1", "Feasible", 60, 5559),
+    (40, 3, 0.2, 1004, "slack:0", "Feasible", 24, 2310),
 ])
 def test_nodes_explored_pinned(n, k, density, seed, mode, status, size, nodes):
     res = exact_cvck(gen_kpartite(GenSpec(n=n, k=k, density=density, seed=seed,
