@@ -15,7 +15,6 @@ import json
 import os
 import sys
 
-from .bench import DEFAULT_EXACT_CUTOFF, BenchConfig, run_bench, write_csv
 from .errors import (InstanceInvalidError, KPCoverError, ParseError,
                      SpecInvalidError)
 from .exact import INFEASIBLE
@@ -23,7 +22,6 @@ from .generate import GenSpec, gen_complete_kpartite, gen_kpartite, gen_tree
 from .graph import Budgets, Instance, greedy_partition, validate_instance
 from .heuristic import HEURISTIC_FAILURE
 from .ioformat import _decimal, parse_instance, serialize_instance
-from .reduction import reduce_clique_to_vc
 from .solvers import ALGOS, solve
 
 EXIT_OK = 0
@@ -105,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget-mode", default="slack:1")
     p.add_argument("--k", type=_decimal)  # None: not given; 3 where read
     p.add_argument("--tree", action="store_true")
-    p.add_argument("--exact-cutoff", type=_decimal, default=DEFAULT_EXACT_CUTOFF)
+    p.add_argument("--exact-cutoff", type=_decimal)  # None: DEFAULT_EXACT_CUTOFF where read
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(func=cmd_bench)
 
@@ -157,6 +155,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce_clique(args: argparse.Namespace) -> int:
+    from .reduction import reduce_clique_to_vc  # loaded only by this command
     inst = _load_instance(args.path)
     out = reduce_clique_to_vc(inst.graph, args.k)
     comp = out.complement_graph
@@ -210,6 +209,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    # bench, and with it statistics and csv, loads only for this command
+    from .bench import DEFAULT_EXACT_CUTOFF, BenchConfig, run_bench, write_csv
+    cutoff = DEFAULT_EXACT_CUTOFF if args.exact_cutoff is None else args.exact_cutoff
     if args.tree:
         _refuse_options(args, "--tree", "--k", "--density")
     config = BenchConfig(sizes=_decimal_list(args.sizes, "bad sizes list"),
@@ -217,7 +219,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                          density=0.5 if args.density is None else args.density,
                          seed=args.seed, budget_mode=args.budget_mode,
                          k=3 if args.k is None else args.k, tree=args.tree,
-                         exact_cutoff=args.exact_cutoff)
+                         exact_cutoff=cutoff)
     records, summary = run_bench(config)
     with open(args.out, "w", encoding="utf-8", newline="") as f:
         write_csv(records, f)

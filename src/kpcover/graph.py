@@ -12,8 +12,8 @@ view keep their own overlay.
 from __future__ import annotations
 
 from bisect import bisect
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
 
 from .errors import InstanceInvalidError, SelfLoopError, VertexOutOfRangeError
 

@@ -7,8 +7,8 @@ both directions.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import KOutOfRangeError, NotACliqueError, NotACoverError
 from .graph import Graph, complement, is_clique, is_vertex_cover

@@ -18,7 +18,6 @@ includes exactly one validate_instance.
 from __future__ import annotations
 
 import time
-from typing import Any
 
 from .approx import two_approx_vc
 from .exact import INFEASIBLE, exact_cvck
@@ -29,7 +28,7 @@ from .heuristic import SUCCESS, solve_cvck
 ALGOS = ("cvck", "exact", "2approx")
 
 
-def solve(inst: Instance, algo: str) -> dict[str, Any]:
+def solve(inst: Instance, algo: str) -> dict[str, object]:
     """Run one of ALGOS on inst; ValueError for any other name."""
     if algo not in ALGOS:
         raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGOS}")

@@ -390,6 +390,25 @@ class TestProcess:
         assert proc.wait(timeout=60) in status
         assert len(head) == 100 and err == b""
 
+    @pytest.mark.parametrize("args", [
+        ["validate", "PATH"], ["solve", "PATH"],
+        ["gen", "--n", "9", "--k", "3", "--density", "0.5"],
+    ], ids=["validate", "solve", "gen"])
+    def test_only_bench_loads_the_bench_module(self, tmp_path, args):
+        # a fresh interpreter, so no earlier import in this session counts
+        path = write(tmp_path, "path.kpvc", PATH_FILE)
+        args = [path if arg == "PATH" else arg for arg in args]
+        code = ("import sys\n"
+                "from kpcover.cli import main\n"
+                f"code = main({args!r})\n"
+                "print(code, [m for m in ('kpcover.bench', 'kpcover.reduction', "
+                "'statistics', 'csv') if m in sys.modules])\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=SRC),
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"
+
 
 class TestReduceClique:
     def test_writes_complement_instance(self, tmp_path, capsys):
