@@ -19,8 +19,11 @@ outcome, as in cvck, on those instances and on one more n = 200 instance
 under slack:0 budgets. A seventh, generators, hashes serialize_instance's
 text for gen_complete_kpartite on 240 seeded size tuples (1-6 parts of 1-12
 vertices each) and for gen_tree on n = 1..20 under exact and fixed budgets,
-the two modes the text digest's trees never use. Run it against any
-checkout's sources:
+the two modes the text digest's trees never use. An eighth, approx, hashes
+matching_vertex_cover's sorted cover and its matching on the ensemble's
+graphs and on the large specs, so the 2-approximation's edge order is
+pinned beyond the budgets it derives. Run it against any checkout's
+sources:
 
     PYTHONPATH=src python scripts/exact_digest.py
 
@@ -44,7 +47,8 @@ from collections import Counter
 
 from kpcover import (GenSpec, ParseError, SplitMix64, exact_cvck,
                      exact_min_vc, gen_complete_kpartite, gen_kpartite,
-                     gen_tree, parse_instance, serialize_instance, solve_cvck)
+                     gen_tree, matching_vertex_cover, parse_instance,
+                     serialize_instance, solve_cvck)
 
 EXPECTED = {
     "text": "4d081075e92f334b1195bb0c59dd590de3ab1d552ed4e2fa37f538a8edb987fe",
@@ -54,6 +58,7 @@ EXPECTED = {
     "large": "635b54f16c61988668482def5838462e9da75e5d2137dcd1add0ad3b8d1a42d0",
     "cvck-large": "f0088dba1737a3e5f94a08fcf665f3f3e4a6481b22875a015b990b481d58d7a5",
     "generators": "827e2bd75ed93b07496040a68bbbb29a643492760fe105826c9d740407f89360",
+    "approx": "23d12011f512a98920c49d587256c562616fdfd4284211c696cadcdd1929523b",
 }
 LARGE_SPECS = (
     GenSpec(n=200, k=4, density=0.5, seed=41),
@@ -148,6 +153,11 @@ def cvck_outcome(inst) -> bytes:
                  heur.op_count, heur.uncovered_edges)).encode()
 
 
+def approx_outcome(graph) -> bytes:
+    cover, matching = matching_vertex_cover(graph)
+    return repr((sorted(cover), matching)).encode()
+
+
 def main() -> int:
     digests = {name: hashlib.sha256() for name in EXPECTED}
     kinds: Counter[str] = Counter()
@@ -168,9 +178,12 @@ def main() -> int:
             res.status, cover, res.size, res.nodes_explored,
             sorted(exact_min_vc(inst.graph)))).encode())
         digests["cvck"].update(cvck_outcome(inst))
+        digests["approx"].update(approx_outcome(inst.graph))
         kinds[kind] += 1
     for spec in LARGE_SPECS:
-        digests["large"].update(serialize_instance(gen_kpartite(spec)).encode())
+        inst = gen_kpartite(spec)
+        digests["large"].update(serialize_instance(inst).encode())
+        digests["approx"].update(approx_outcome(inst.graph))
     for spec in CVCK_LARGE_SPECS:
         digests["cvck-large"].update(cvck_outcome(gen_kpartite(spec)))
     for inst in generator_instances():

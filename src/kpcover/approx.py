@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from bisect import bisect
+
 from .graph import Edge, Graph
 
 
@@ -10,16 +12,21 @@ def matching_vertex_cover(g: Graph) -> tuple[frozenset[int], tuple[Edge, ...]]:
 
     Repeatedly take the lexicographically smallest live edge, add both
     endpoints, and drop every edge they touch. The picked edges form a
-    maximal matching, so the cover is at most twice the optimum.
+    maximal matching, so the cover is at most twice the optimum. In edge
+    order that is one scan per vertex u not yet covered: its edges to
+    smaller vertices were dropped already, and it is matched to the first
+    vertex of its tail not yet covered, which drops the rest of its edges.
     """
     cover: set[int] = set()
     matching: list[Edge] = []
-    for u, v in g.sorted_edges():
-        if u in cover or v in cover:
-            continue
-        cover.add(u)
-        cover.add(v)
-        matching.append((u, v))
+    for u, nbrs in enumerate(g.adjacency):
+        if u not in cover:
+            for v in nbrs[bisect(nbrs, u):]:
+                if v not in cover:
+                    cover.add(u)
+                    cover.add(v)
+                    matching.append((u, v))
+                    break
     return frozenset(cover), tuple(matching)
 
 

@@ -39,7 +39,7 @@ import heapq
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import accumulate, chain, compress, pairwise, repeat
 
 from .approx import two_approx_vc
 from .errors import SpecInvalidError
@@ -166,20 +166,20 @@ def _contiguous_parts(sizes: Sequence[int], hits: Iterator) -> tuple[Graph, KPar
     """Graph and partition with parts of the given sizes over consecutive
     ids, part 1 first. Each inter-part pair (u, v), u < v, takes the next
     flag of hits, in ascending pair order, and is an edge iff it is true.
-    u's partners in later parts are exactly end..n, sliced from one list of
-    ids, and compress reads one flag per partner, so a missed pair
-    allocates nothing.
+    u's partners in later parts are exactly end..n, sliced once per part
+    from one list of ids, and compress reads one flag per partner, so a
+    missed pair allocates nothing; the pairs stream into _sorted_graph
+    through one zip per vertex, which reuses its result tuple.
     """
     n = sum(sizes)
-    assign, edges, ids = [], [], list(range(n + 1))
-    end = 1
-    for p, size in enumerate(sizes, start=1):
-        assign += repeat(p, size)
-        start, end = end, end + size
-        partners = ids[end:]
-        for u in range(start, end):
-            edges.extend(zip(repeat(u), compress(partners, hits)))
-    return _sorted_graph(n, edges), make_partition(len(sizes), assign)
+    ids = list(range(n + 1))
+    bounds = list(accumulate(sizes, initial=1))  # part p is bounds[p-1]..bounds[p]-1
+    pairs = chain.from_iterable(zip(repeat(u), compress(partners, hits))
+                                for start, end in pairwise(bounds)
+                                for partners in (ids[end:],)
+                                for u in range(start, end))
+    assign = [p for p, size in enumerate(sizes, start=1) for _ in range(size)]
+    return _sorted_graph(n, pairs), make_partition(len(sizes), assign)
 
 
 def _hit_flags(seed: int, draws: int, density: float) -> Iterator[bytes]:

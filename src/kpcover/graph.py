@@ -1,9 +1,11 @@
 """Undirected graphs, k-partitions, budgets, and the predicates solvers are checked against.
 
-Vertices are dense 1-based integer ids. Edges are unordered pairs stored as
-(u, v) tuples with u < v. A Graph stores its edges once, as a tuple sorted
-ascending; sorted_edges() hands out that tuple and every layer that walks
-the edges reads it.
+Vertices are dense 1-based integer ids. Edges are unordered pairs (u, v)
+with u < v. A Graph keeps each edge once, as adjacency: v sits in the
+ascending tail of adjacency[u] past u, and u in the head of adjacency[v].
+sorted_edges() derives the ascending (u, v) tuple from those tails on every
+call, so a caller that walks the edges more than once keeps the tuple;
+the layers that walk every edge in timed code walk the tails instead.
 All types are immutable after construction, so instances can be shared
 freely between concurrent solver calls; solvers that need a mutable edge
 view keep their own overlay.
@@ -14,6 +16,7 @@ from __future__ import annotations
 from bisect import bisect
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from .errors import InstanceInvalidError, SelfLoopError, VertexOutOfRangeError
 
@@ -22,29 +25,33 @@ Edge = tuple[int, int]
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on vertices 1..n.
+    """Simple undirected graph on vertices 1..n with m edges.
 
-    edge_order holds every edge once, ascending, and is what equality and
-    hashing compare. adjacency[v] is the ascending tuple of v's neighbors
-    (index 0 is an unused, empty placeholder so vertex ids index directly).
+    adjacency[v] is the ascending tuple of v's neighbors (index 0 is an
+    unused, empty placeholder so vertex ids index directly); it is the one
+    record of the edges, and with n what equality and hashing compare.
     Tuples of ints cost a fraction of frozensets and leave the cyclic GC's
     tracking; a reader that tests membership, of a neighbour list or of a
-    KPartition's part stored the same way, builds its own set.
+    KPartition's part stored the same way, builds its own set. No field
+    holds a tuple per edge: sorted_edges() builds them when asked.
     """
 
     n: int
-    edge_order: tuple[Edge, ...]
-    adjacency: tuple[tuple[int, ...], ...] = field(compare=False)
-
-    @property
-    def m(self) -> int:
-        return len(self.edge_order)
+    m: int = field(compare=False)
+    adjacency: tuple[tuple[int, ...], ...]
 
     def vertices(self) -> range:
         return range(1, self.n + 1)
 
+    def tails(self) -> list[tuple[int, ...]]:
+        """adjacency[u]'s neighbours past u, for u = 0..n: each edge (u, v)
+        once, as v in the tail of u, in ascending edge order."""
+        return [nbrs[bisect(nbrs, u):] for u, nbrs in enumerate(self.adjacency)]
+
     def sorted_edges(self) -> tuple[Edge, ...]:
-        return self.edge_order
+        """Every edge once, as (u, v) with u < v, ascending; derived from
+        the tails on each call and not kept."""
+        return tuple([(u, v) for u, tail in enumerate(self.tails()) for v in tail])
 
 
 def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
@@ -53,7 +60,8 @@ def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
     Duplicate pairs (in either orientation) are deduplicated silently.
     Self-loops and endpoints outside 1..n are hard errors. Input that is
     already nearly sorted, as a hand-edited file gives it, sorts in close to
-    linear time, and (u, v) tuples with u < v are stored as they are.
+    linear time. The oriented pairs are a transient list; _sorted_graph
+    reads them into adjacency and they are dropped.
     """
     if n < 1:
         raise VertexOutOfRangeError(f"vertex count must be >= 1, got {n}")
@@ -70,33 +78,33 @@ def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
         elif type(e) is not tuple:
             e = (u, v)
         append(e)
-    pairs.sort()  # duplicates are now adjacent
-    return _sorted_graph(n, pairs[:1] + [e for prev, e in zip(pairs, pairs[1:]) if e != prev])
+    pairs.sort()  # duplicates are now adjacent: groupby keeps one of each
+    return _sorted_graph(n, (e for e, _ in groupby(pairs)))
 
 
-def _sorted_graph(n: int, edges: Sequence[Edge]) -> Graph:
-    """Graph from (u, v) tuples that are already ascending, distinct, in
-    1..n and have u < v, as build_graph leaves them, as the generators and
-    complement emit them and as parse_instance reads canonical text; nothing
-    is checked again. In ascending edge order each neighbor list is appended
-    in ascending order: v's smaller neighbors u arrive with edges (u, v),
-    sorted by u, before its larger ones, sorted by the second endpoint."""
-    edges = tuple(edges)
+def _sorted_graph(n: int, pairs: Iterable[Edge]) -> Graph:
+    """Graph from a stream of (u, v) pairs that are already ascending,
+    distinct, in 1..n and have u < v, as build_graph leaves them, as the
+    generators and complement emit them and as parse_instance reads
+    canonical text; nothing is checked again. In ascending edge order each
+    neighbor list is appended in ascending order: v's smaller neighbors u
+    arrive with edges (u, v), sorted by u, before its larger ones, sorted by
+    the second endpoint. Each pair is unpacked and dropped, so a zip that
+    feeds it reuses one result tuple and no tuple per edge is made."""
     adj: list[list[int]] = [[] for _ in range(n + 1)]
-    for u, v in edges:
+    for u, v in pairs:
         adj[u].append(v)
         adj[v].append(u)
-    return Graph(n=n, edge_order=edges, adjacency=tuple(map(tuple, adj)))
+    return Graph(n=n, m=sum(map(len, adj)) // 2, adjacency=tuple(map(tuple, adj)))
 
 
 def complement(g: Graph) -> Graph:
     """Graph on the same vertices whose edge set is inverted over all pairs."""
     nbrs = list(map(set, g.adjacency))
-    missing = [(u, v)
-               for u in range(1, g.n + 1)
-               for v in range(u + 1, g.n + 1)
-               if v not in nbrs[u]]
-    return _sorted_graph(g.n, missing)
+    return _sorted_graph(g.n, ((u, v)
+                               for u in range(1, g.n + 1)
+                               for v in range(u + 1, g.n + 1)
+                               if v not in nbrs[u]))
 
 
 @dataclass(frozen=True)
@@ -226,9 +234,10 @@ def _has_intra_part_edge(g: Graph, part: KPartition) -> bool:
 
 
 def is_vertex_cover(g: Graph, s: Iterable[int]) -> bool:
-    """True iff every edge of g has at least one endpoint in s."""
+    """True iff every edge of g has at least one endpoint in s: each vertex
+    outside s has its tail, the edges it leads, inside s."""
     sset = _checked_subset(g, s)
-    return all(u in sset or v in sset for u, v in g.sorted_edges())
+    return all(u in sset or sset.issuperset(tail) for u, tail in enumerate(g.tails()))
 
 
 def is_clique(g: Graph, s: Iterable[int]) -> bool:

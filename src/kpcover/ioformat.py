@@ -30,18 +30,21 @@ lacks (a leading zero or a vertex outside 1..n) is read line by line
 instead, so every error keeps its kind, line and message, and the cap keeps
 the chunk's token lists small however long the run.
 
-Canonical text gives its pairs with u < v and strictly ascending; then they
-are the graph's edge order as read and build_graph's orienting, sorting and
-de-duplication are skipped. Other text goes through build_graph. Intra-part
-edges are found after the loop with one set per part of the built graph,
-the union of its members' neighbour tails, tested against the part.
+The e records' endpoints are kept as two flat lists of ints, firsts and
+seconds, with no tuple per edge. Canonical text gives its pairs with u < v
+and strictly ascending, which three passes over those lists check; then
+they stream into the graph's adjacency as read, through one zip, and
+build_graph's orienting, sorting and de-duplication are skipped. Other
+text goes through build_graph. Intra-part edges are found after the loop
+with one set per part of the built graph, the union of its members'
+neighbour tails, tested against the part.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import chain, islice, starmap
-from operator import eq, lt
+from itertools import chain, islice
+from operator import eq, le, lt, or_
 
 from .errors import ParseError
 from .graph import (Budgets, Instance, _has_intra_part_edge, _sorted_graph,
@@ -53,7 +56,8 @@ def parse_instance(text: str) -> Instance:
     header: tuple[int, int, int, int] | None = None  # (lineno, n, m, k)
     v_records: dict[int, int] = {}
     b_records: dict[int, int] = {}
-    e_pairs: list[tuple[int, int]] = []
+    us: list[int] = []  # e records' endpoints in file order, the i-th
+    vs: list[int] = []  # edge being (us[i], vs[i]): no tuple per edge
     ids: dict[str, int] | None = None  # decimal text -> vertex, once all are read
     lineno = pos = bulk_from = 0
     size = len(text)
@@ -62,10 +66,11 @@ def parse_instance(text: str) -> Instance:
         if ids is not None and pos >= bulk_from:
             run = _E_RUN.match(text, pos)
             if run is not None:
-                pairs = _run_pairs(run[0], ids)
-                if pairs is not None:
-                    e_pairs += pairs
-                    lineno += len(pairs)
+                ends = _run_pairs(run[0], ids)
+                if ends is not None:
+                    us += ends[0]
+                    vs += ends[1]
+                    lineno += len(ends[0])
                     pos = run.end()
                     continue
                 bulk_from = run.end()  # the loop below names the first bad line
@@ -103,7 +108,8 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError(lineno, "Syntax", f"self-loop at vertex {x}")
             if not (0 < x <= n and 0 < y <= n):
                 raise ParseError(lineno, "Syntax", f"edge ({x}, {y}) outside 1..{n}")
-            e_pairs.append((x, y))
+            us.append(x)
+            vs.append(y)
         elif kind == "v":
             if not (0 < x <= n):
                 raise ParseError(lineno, "Syntax", f"vertex {x} outside 1..{n}")
@@ -126,9 +132,9 @@ def parse_instance(text: str) -> Instance:
     if header is None:
         raise ParseError(1, "Syntax", "missing p line")
     p_lineno, n, m, k = header
-    if len(e_pairs) != m:
+    if len(us) != m:
         raise ParseError(p_lineno, "CountMismatch",
-                         f"p line declares {m} edges, file has {len(e_pairs)}")
+                         f"p line declares {m} edges, file has {len(us)}")
     # compare counts before scanning ids: n and k come from the header, and
     # the file need not hold anywhere near that many records
     if len(v_records) != n:
@@ -140,19 +146,22 @@ def parse_instance(text: str) -> Instance:
         raise ParseError(p_lineno, "MissingBudget",
                          f"no b record for part {missing}")
     partition = make_partition(k, v_records)  # vertices 1..n, parts 1..k: no raise
-    if all(starmap(lt, e_pairs)) and all(map(lt, e_pairs, islice(e_pairs, 1, None))):
-        graph = _sorted_graph(n, e_pairs)  # canonical: none to orient, sort or merge
+    # canonical: u < v on every line, u never falls, and where u stays v rises
+    if (all(map(lt, us, vs)) and all(map(le, us, islice(us, 1, None)))
+            and all(map(or_, map(lt, us, islice(us, 1, None)),
+                        map(lt, vs, islice(vs, 1, None))))):
+        graph = _sorted_graph(n, zip(us, vs))  # none to orient, sort or merge
     else:
-        graph = build_graph(n, e_pairs)  # pairs range-checked above: no raise
+        graph = build_graph(n, zip(us, vs))  # pairs range-checked above: no raise
     if _has_intra_part_edge(graph, partition):  # the file-order walk names the first
         part_of = partition.part_of
-        i, (u, v) = next((i, (u, v)) for i, (u, v) in enumerate(e_pairs)
+        i, (u, v) = next((i, (u, v)) for i, (u, v) in enumerate(zip(us, vs))
                          if part_of[u] == part_of[v])
         raise ParseError(_e_line(text, i), "IntraPartEdge",
                          f"edge ({u}, {v}) inside part {part_of[u]}")
     if graph.m != m:  # build_graph merged a repeated pair; name its line
         seen: set[tuple[int, int]] = set()
-        for i, (u, v) in enumerate(e_pairs):
+        for i, (u, v) in enumerate(zip(us, vs)):
             pair = (u, v) if u < v else (v, u)
             if pair in seen:
                 raise ParseError(_e_line(text, i), "DuplicateRecord",
@@ -173,11 +182,11 @@ _RUN_LINES = 1024
 _E_RUN = re.compile(r"(?:e [0-9]{1,18} [0-9]{1,18}\n){1,%d}" % _RUN_LINES)
 
 
-def _run_pairs(run: str, ids: dict[str, int]) -> list[tuple[int, int]] | None:
-    """The (u, v) pairs of an _E_RUN match, each field mapped through ids
-    (decimal text -> vertex, for every vertex 1..n), or None when a field
-    is not in ids or a pair is a self-loop; the caller then reads the run
-    line by line."""
+def _run_pairs(run: str, ids: dict[str, int]) -> tuple[list[int], list[int]] | None:
+    """The first and the second endpoints of an _E_RUN match's lines, as
+    two lists, each field mapped through ids (decimal text -> vertex, for
+    every vertex 1..n), or None when a field is not in ids or a line is a
+    self-loop; the caller then reads the run line by line."""
     fields = run.split()
     try:
         us = list(map(ids.__getitem__, fields[1::3]))
@@ -186,7 +195,7 @@ def _run_pairs(run: str, ids: dict[str, int]) -> list[tuple[int, int]] | None:
         return None
     if any(map(eq, us, vs)):
         return None
-    return list(zip(us, vs))
+    return us, vs
 
 
 def _e_line(text: str, i: int) -> int:
@@ -205,11 +214,14 @@ def serialize_instance(inst: Instance) -> str:
     validate_instance(inst).check()
     g, part, budgets = inst.graph, inst.partition, inst.budgets
     n, m, k, flat = g.n, g.m, part.k, chain.from_iterable
+    tails = g.tails()
     # one % over the whole text: per-kind pieces joined afterwards made
-    # kpbench's peak RSS grow faster with the instance count
-    fmt = "".join(("p kpvc %d %d %d\n", "v %d %d\n" * n, "b %d %d\n" * k, "e %d %d\n" * m))
+    # kpbench's peak RSS grow faster with the instance count. u's e records
+    # carry u in the format, so only the tails' ints are arguments
+    fmt = "".join(("p kpvc %d %d %d\n", "v %d %d\n" * n, "b %d %d\n" * k,
+                   *(f"e {u} %d\n" * len(tail) for u, tail in enumerate(tails) if tail)))
     return fmt % (n, m, k, *flat(zip(range(1, n + 1), part.part_of[1:])),
-                  *flat(zip(range(1, k + 1), budgets.limits)), *flat(g.sorted_edges()))
+                  *flat(zip(range(1, k + 1), budgets.limits)), *flat(tails))
 
 
 # the one rule for integers from text: instance fields, budget modes and

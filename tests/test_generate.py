@@ -302,12 +302,12 @@ SMALL_SPECS = tuple(GenSpec(n=n, k=k, density=density, seed=n * 10 + k)
 class TestSortedBuilder:
     """The generators and complement build their graphs without build_graph's
     checks and sort; the result must be what build_graph makes of the same
-    edges, adjacency included (Graph equality leaves it out)."""
+    edges, in sorted_edges() and in adjacency."""
 
     @staticmethod
     def assert_as_build_graph(g):
         ref = build_graph(g.n, g.sorted_edges())
-        assert g.edge_order == ref.edge_order and g.adjacency == ref.adjacency
+        assert g.sorted_edges() == ref.sorted_edges() and g.adjacency == ref.adjacency
 
     @pytest.mark.parametrize("spec", SMALL_SPECS + _large_specs())
     def test_gen_kpartite_and_its_complement(self, spec):

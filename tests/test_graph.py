@@ -166,11 +166,11 @@ class TestAdjacencyContract:
             missing = tuple((u, v) for u, v in combinations(g.vertices(), 2)
                             if v not in nbrs[u])
             comp = complement(g)
-            assert comp.edge_order == missing
+            assert comp.sorted_edges() == missing
             self.assert_ascending_tuples(comp)
             for k in (0, g.n // 2, g.n):
                 reduced = reduce_clique_to_vc(g, k)
-                assert reduced.complement_graph.edge_order == missing
+                assert reduced.complement_graph.sorted_edges() == missing
                 assert reduced.complement_graph.adjacency == comp.adjacency
                 assert reduced.target_cover_size == g.n - k
             cliques = [s for size in range(g.n, -1, -1)
@@ -186,16 +186,28 @@ class TestAdjacencyContract:
         assert sum(g.m for g in graphs) > 500
 
     def test_adjacency_costs_at_most_24_bytes_per_edge(self):
-        # a frozenset per vertex held about 135 B per edge on this graph
-        g = gen_kpartite(GenSpec(n=200, k=4, density=0.5, seed=41)).graph
+        # a frozenset per vertex held about 135 B per edge on this graph,
+        # and a (u, v) tuple per edge kept beside adjacency about 68 B
+        spec = GenSpec(n=200, k=4, density=0.5, seed=41)
+        text = serialize_instance(gen_kpartite(spec))
+        g = gen_kpartite(spec).graph
+        edges = g.sorted_edges()
         tracemalloc.start()
         try:
-            rebuilt = graph._sorted_graph(g.n, g.edge_order)  # shares the edge tuple
-            held = tracemalloc.get_traced_memory()[0]
+            rebuilt = graph._sorted_graph(g.n, edges)  # shares the edge tuple
+            held_graph = tracemalloc.get_traced_memory()[0]
+            parsed = parse_instance(text)
+            held_parsed = tracemalloc.get_traced_memory()[0] - held_graph
+            generated = gen_kpartite(spec)
+            held_generated = (tracemalloc.get_traced_memory()[0]
+                              - held_graph - held_parsed)
         finally:
             tracemalloc.stop()
         assert rebuilt.adjacency == g.adjacency
-        assert held <= 24 * g.m, held / g.m
+        assert parsed == generated and parsed.graph.m == g.m
+        # whole instances: graph, partition and budgets
+        for held in (held_graph, held_parsed, held_generated):
+            assert held <= 24 * g.m, held / g.m
 
 
 class TestConstructors:

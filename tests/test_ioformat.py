@@ -277,9 +277,9 @@ def _outcomes(text):
     sizes, read = [], ioformat._run_pairs
 
     def run_pairs(run, ids):
-        pairs = read(run, ids)
-        sizes.append(None if pairs is None else len(pairs))
-        return pairs
+        ends = read(run, ids)
+        sizes.append(None if ends is None else len(ends[0]))
+        return ends
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ioformat, "_run_pairs", run_pairs)
