@@ -22,7 +22,12 @@ vertices each) and for gen_tree on n = 1..20 under exact and fixed budgets,
 the two modes the text digest's trees never use. An eighth, approx, hashes
 matching_vertex_cover's sorted cover and its matching on the ensemble's
 graphs and on the large specs, so the 2-approximation's edge order is
-pinned beyond the budgets it derives. Run it against any checkout's
+pinned beyond the budgets it derives. A ninth, parse-large, hashes
+parse_outcome, as in parse, on each large spec's text after one seeded
+edit at each of several lines: its first e line, the lines on each side of
+its first two and its last e-chunk boundaries (every CHUNK e lines), its
+last line and three lines of its v section; and on the same text with its
+e section reversed and with it shuffled. Run it against any checkout's
 sources:
 
     PYTHONPATH=src python scripts/exact_digest.py
@@ -59,6 +64,7 @@ EXPECTED = {
     "cvck-large": "f0088dba1737a3e5f94a08fcf665f3f3e4a6481b22875a015b990b481d58d7a5",
     "generators": "827e2bd75ed93b07496040a68bbbb29a643492760fe105826c9d740407f89360",
     "approx": "23d12011f512a98920c49d587256c562616fdfd4284211c696cadcdd1929523b",
+    "parse-large": "3a1be8444f2830cc2300e1f696ac23e6cc1535be75edf42fd2a3afe0c3c55263",
 }
 LARGE_SPECS = (
     GenSpec(n=200, k=4, density=0.5, seed=41),
@@ -69,6 +75,9 @@ LARGE_SPECS = (
 CVCK_LARGE_SPECS = LARGE_SPECS + (
     GenSpec(n=200, k=4, density=0.5, seed=41, budget_mode="slack:0"),
 )
+# lines in one of parse_instance's bulk e runs: parse-large edits the lines
+# on each side of a run's end
+CHUNK = 1024
 EDITS = ("delete", "duplicate", "swap", "digit", "reverse", "zero", "space",
          "cr", "comment", "no-final-lf")
 
@@ -105,12 +114,13 @@ def generator_instances(seed: int = 20261020, count: int = 240):
         yield gen_tree(n, tree_seed, "fixed:" + limits)
 
 
-def edit(text: str, rng: SplitMix64) -> str:
-    """Canonical text with one edit drawn from rng; reversing a line that is
-    not an e record leaves the text as it is."""
+def edit(text: str, rng: SplitMix64, at: int | None = None) -> str:
+    """Canonical text with one edit drawn from rng, of line `at` (from 0)
+    or of a line drawn from rng; reversing a line that is not an e record
+    leaves the text as it is."""
     lines = text.split("\n")[:-1]  # canonical text ends with LF
     how = EDITS[rng.next_below(len(EDITS))]
-    i = rng.next_below(len(lines))
+    i = rng.next_below(len(lines)) if at is None else at
     fields = lines[i].split(" ")
     if how == "delete":
         del lines[i]
@@ -138,6 +148,26 @@ def edit(text: str, rng: SplitMix64) -> str:
     elif how == "no-final-lf":
         return "\n".join(lines)
     return "\n".join(lines) + "\n"
+
+
+def large_parse_texts(text: str, rng: SplitMix64):
+    """The parse-large texts of one canonical text: one edit at each line
+    the module docstring names, then the e section reversed and shuffled."""
+    lines = text.split("\n")[:-1]
+    _, _, n, _, k = lines[0].split()
+    e_start = 1 + int(n) + int(k)  # p line, v records, b records
+    ends = range(e_start + CHUNK, len(lines), CHUNK)
+    spots = {e_start, len(lines) - 1}
+    spots.update(i for end in (*ends[:2], *ends[-1:]) for i in (end - 1, end, end + 1))
+    spots.update(1 + rng.next_below(int(n)) for _ in range(3))
+    for at in sorted(spots & set(range(len(lines)))):
+        yield edit(text, rng, at)
+    head, es = lines[:e_start], lines[e_start:]
+    yield "\n".join(head + es[::-1]) + "\n"
+    for i in range(len(es) - 1, 0, -1):  # Fisher-Yates
+        j = rng.next_below(i + 1)
+        es[i], es[j] = es[j], es[i]
+    yield "\n".join(head + es) + "\n"
 
 
 def parse_outcome(text: str) -> tuple:
@@ -180,10 +210,14 @@ def main() -> int:
         digests["cvck"].update(cvck_outcome(inst))
         digests["approx"].update(approx_outcome(inst.graph))
         kinds[kind] += 1
+    large_rng = SplitMix64(20261021)
     for spec in LARGE_SPECS:
         inst = gen_kpartite(spec)
-        digests["large"].update(serialize_instance(inst).encode())
+        text = serialize_instance(inst)
+        digests["large"].update(text.encode())
         digests["approx"].update(approx_outcome(inst.graph))
+        for edited in large_parse_texts(text, large_rng):
+            digests["parse-large"].update(repr(parse_outcome(edited)).encode())
     for spec in CVCK_LARGE_SPECS:
         digests["cvck-large"].update(cvck_outcome(gen_kpartite(spec)))
     for inst in generator_instances():
@@ -197,7 +231,7 @@ def main() -> int:
         got = digest.hexdigest()
         ok = got == EXPECTED[name]
         failed |= not ok
-        print(f"{name:10s} {got} {'ok' if ok else 'MISMATCH, pinned ' + EXPECTED[name]}")
+        print(f"{name:11s} {got} {'ok' if ok else 'MISMATCH, pinned ' + EXPECTED[name]}")
     return 1 if failed else 0
 
 

@@ -59,8 +59,7 @@ def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
 
     Duplicate pairs (in either orientation) are deduplicated silently.
     Self-loops and endpoints outside 1..n are hard errors. Input that is
-    already nearly sorted, as a hand-edited file gives it, sorts in close to
-    linear time. The oriented pairs are a transient list; _sorted_graph
+    already nearly sorted sorts in close to linear time. The oriented pairs are a transient list; _sorted_graph
     reads them into adjacency and they are dropped.
     """
     if n < 1:
@@ -84,13 +83,13 @@ def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
 
 def _sorted_graph(n: int, pairs: Iterable[Edge]) -> Graph:
     """Graph from a stream of (u, v) pairs that are already ascending,
-    distinct, in 1..n and have u < v, as build_graph leaves them, as the
-    generators and complement emit them and as parse_instance reads
-    canonical text; nothing is checked again. In ascending edge order each
-    neighbor list is appended in ascending order: v's smaller neighbors u
-    arrive with edges (u, v), sorted by u, before its larger ones, sorted by
-    the second endpoint. Each pair is unpacked and dropped, so a zip that
-    feeds it reuses one result tuple and no tuple per edge is made."""
+    distinct, in 1..n and have u < v, as build_graph leaves them and as the
+    generators and complement emit them; nothing is checked again. In
+    ascending edge order each neighbor list is appended in ascending order:
+    v's smaller neighbors u arrive with edges (u, v), sorted by u, before
+    its larger ones, sorted by the second endpoint. Each pair is unpacked
+    and dropped, so a zip that feeds it reuses one result tuple and no tuple
+    per edge is made."""
     adj: list[list[int]] = [[] for _ in range(n + 1)]
     for u, v in pairs:
         adj[u].append(v)

@@ -16,38 +16,57 @@ canonical serialization (sorted records, no comments) is byte-stable.
 
 parse_instance reads the text with one line regex and splits each line into
 tokens, so every line, comment, p line or record, takes the same checks.
-The one fast path is a bulk e run, and it falls back to that line reader.
+Its fast paths are bulk v and e runs, and both fall back to that line
+reader, so every error keeps its kind, line and message.
 
-After the last of the n v records, a run of plain e lines, each `e`, a
-space, 1-18 digits, a space, 1-18 digits and an LF, is read in chunks of at
-most _RUN_LINES lines: one match, one split and one pass per chunk that
-looks each field up in a table from decimal text to vertex. The table is
-built when the n-th v record is read, from those records, so it never holds
-more than the file gave, and a hit is a vertex already checked to lie in
-1..n; its int is shared by every edge that names it. e lines before that
-point are read line by line. A chunk with a self-loop or a field the table
-lacks (a leading zero or a vertex outside 1..n) is read line by line
-instead, so every error keeps its kind, line and message, and the cap keeps
-the chunk's token lists small however long the run.
+After the p line, a run of plain v lines, each `v`, a space, 1-18 digits, a
+space, 1-18 digits and an LF, is read in chunks of at most _RUN_LINES
+lines: one match, one split and int() over digits the regex has checked.
+The range and duplicate checks run once per chunk, and a chunk that fails
+one is read line by line. When the n-th v record is read, a table from
+decimal text to vertex is built from those records, so it never holds more
+than the file gave, and a hit is a vertex already checked to lie in 1..n;
+its int is shared by every edge that names it. The neighbour lists are
+allocated then too, so a hostile header allocates nothing; e lines read
+before that point wait in one flat list and join the lists in file order.
 
-The e records' endpoints are kept as two flat lists of ints, firsts and
-seconds, with no tuple per edge. Canonical text gives its pairs with u < v
-and strictly ascending, which three passes over those lists check; then
-they stream into the graph's adjacency as read, through one zip, and
-build_graph's orienting, sorting and de-duplication are skipped. Other
-text goes through build_graph. Intra-part edges are found after the loop
-with one set per part of the built graph, the union of its members'
-neighbour tails, tested against the part.
+After that point a run of plain e lines, the same shape led by `e`, is read
+in chunks the same way. A chunk is checked before any of it is kept: every
+second field must be in the table, and every first field is looked up once
+per group of consecutive lines with equal first fields, so those lookups
+cost one per vertex, not one per edge. A chunk in canonical order (below)
+has u < v on every line; in any other, a self-loop is ruled out by
+comparing each line's two fields as text. A chunk with a self-loop or a
+field the table lacks (a leading zero or a vertex outside 1..n) is read
+line by line instead, and the cap keeps the chunk's token lists small
+however long the run. Each group's first endpoint u then takes its tail,
+the group's second endpoints, onto its list in one extend, and u is
+appended to each tail vertex's list: no tuple per edge.
+
+Canonical text gives its edges with u < v and strictly ascending. Then every
+group's u is above the last one's (or equal to it where a group spans two
+chunks, with its tail going on past the last one's), its tail starts above u
+and rises, and every neighbour list comes out strictly ascending: smaller
+neighbours arrive first, with their own groups, then the tail. Each group is
+checked so; text in any other order only drops the check, and then the
+lists that are not strictly ascending are sorted in place, and an equal
+neighbour in a sorted list is a pair given twice. Intra-part edges are found
+after the loop with one set per part of the built graph, the union of its
+members' neighbour tails, tested against the part. Only to name the line of
+an intra-part or repeated edge are the e records read again from the text.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import chain, islice
-from operator import eq, le, lt, or_
+from collections.abc import Sequence
+from itertools import chain, groupby, islice
+from operator import eq, lt
 
 from .errors import ParseError
-from .graph import (Budgets, Instance, _has_intra_part_edge, _sorted_graph,
+# build_graph stays a module attribute, though parse_instance does not call
+# it: kpbench's tracer wraps kpcover.ioformat.build_graph
+from .graph import (Budgets, Graph, Instance, _has_intra_part_edge,
                     build_graph, make_partition, validate_instance)
 
 
@@ -56,24 +75,38 @@ def parse_instance(text: str) -> Instance:
     header: tuple[int, int, int, int] | None = None  # (lineno, n, m, k)
     v_records: dict[int, int] = {}
     b_records: dict[int, int] = {}
-    us: list[int] = []  # e records' endpoints in file order, the i-th
-    vs: list[int] = []  # edge being (us[i], vs[i]): no tuple per edge
     ids: dict[str, int] | None = None  # decimal text -> vertex, once all are read
-    lineno = pos = bulk_from = 0
+    adj: list[list[int]] = []  # neighbour lists, allocated with ids
+    early: list[int] = []  # e records read before ids, as u, v, u, v, ...
+    # the last edge (u, v) while every edge so far came in canonical order
+    last: tuple[int, int] | None = (0, 0)
+    n = k = lineno = pos = bulk_from = 0
     size = len(text)
 
     while pos < size:
-        if ids is not None and pos >= bulk_from:
-            run = _E_RUN.match(text, pos)
-            if run is not None:
-                ends = _run_pairs(run[0], ids)
-                if ends is not None:
-                    us += ends[0]
-                    vs += ends[1]
-                    lineno += len(ends[0])
-                    pos = run.end()
-                    continue
-                bulk_from = run.end()  # the loop below names the first bad line
+        if header is not None and pos >= bulk_from:
+            if ids is None:
+                run = _V_RUN.match(text, pos)
+                if run is not None:
+                    parts = _v_chunk(run[0], n, k, v_records)
+                    if parts is not None:
+                        v_records.update(zip(*parts))
+                        lineno += len(parts[0])
+                        pos = run.end()
+                        if len(v_records) == n:
+                            ids, adj, last = _lists(v_records, early, last)
+                        continue
+                    bulk_from = run.end()  # the loop below names the first bad line
+            else:
+                run = _E_RUN.match(text, pos)
+                if run is not None:
+                    chunk = _e_chunk(run[0], ids)
+                    if chunk is not None:
+                        last = _add_tails(adj, *chunk, last)
+                        lineno += run[0].count("\n")
+                        pos = run.end()
+                        continue
+                    bulk_from = run.end()
         line = _LINE.match(text, pos)  # takes at least one character
         lineno += 1
         pos = line.end()
@@ -108,8 +141,10 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError(lineno, "Syntax", f"self-loop at vertex {x}")
             if not (0 < x <= n and 0 < y <= n):
                 raise ParseError(lineno, "Syntax", f"edge ({x}, {y}) outside 1..{n}")
-            us.append(x)
-            vs.append(y)
+            if ids is None:
+                early += (x, y)
+            else:
+                last = _add_tails(adj, (x,), (1,), (y,), x < y, last)
         elif kind == "v":
             if not (0 < x <= n):
                 raise ParseError(lineno, "Syntax", f"vertex {x} outside 1..{n}")
@@ -119,7 +154,7 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError(lineno, "DuplicateRecord", f"vertex {x} assigned twice")
             v_records[x] = y
             if len(v_records) == n:  # every vertex read: bulk e runs may start
-                ids = {str(v): v for v in v_records}
+                ids, adj, last = _lists(v_records, early, last)
         else:
             if not (0 < x <= k):
                 raise ParseError(lineno, "Syntax", f"part {x} outside 1..{k}")
@@ -132,9 +167,10 @@ def parse_instance(text: str) -> Instance:
     if header is None:
         raise ParseError(1, "Syntax", "missing p line")
     p_lineno, n, m, k = header
-    if len(us) != m:
+    edges = (sum(map(len, adj)) + len(early)) // 2  # early is empty once adj is filled
+    if edges != m:
         raise ParseError(p_lineno, "CountMismatch",
-                         f"p line declares {m} edges, file has {len(us)}")
+                         f"p line declares {m} edges, file has {edges}")
     # compare counts before scanning ids: n and k come from the header, and
     # the file need not hold anywhere near that many records
     if len(v_records) != n:
@@ -146,26 +182,19 @@ def parse_instance(text: str) -> Instance:
         raise ParseError(p_lineno, "MissingBudget",
                          f"no b record for part {missing}")
     partition = make_partition(k, v_records)  # vertices 1..n, parts 1..k: no raise
-    # canonical: u < v on every line, u never falls, and where u stays v rises
-    if (all(map(lt, us, vs)) and all(map(le, us, islice(us, 1, None)))
-            and all(map(or_, map(lt, us, islice(us, 1, None)),
-                        map(lt, vs, islice(vs, 1, None))))):
-        graph = _sorted_graph(n, zip(us, vs))  # none to orient, sort or merge
-    else:
-        graph = build_graph(n, zip(us, vs))  # pairs range-checked above: no raise
+    repeated = last is None and _sort_lists(adj)
+    graph = Graph(n=n, m=m, adjacency=tuple(map(tuple, adj)))
     if _has_intra_part_edge(graph, partition):  # the file-order walk names the first
         part_of = partition.part_of
-        i, (u, v) = next((i, (u, v)) for i, (u, v) in enumerate(zip(us, vs))
-                         if part_of[u] == part_of[v])
-        raise ParseError(_e_line(text, i), "IntraPartEdge",
-                         f"edge ({u}, {v}) inside part {part_of[u]}")
-    if graph.m != m:  # build_graph merged a repeated pair; name its line
+        lineno, u, v = next((lineno, u, v) for lineno, u, v in _e_records(text)
+                            if part_of[u] == part_of[v])
+        raise ParseError(lineno, "IntraPartEdge", f"edge ({u}, {v}) inside part {part_of[u]}")
+    if repeated:  # name the line of the first pair's second copy
         seen: set[tuple[int, int]] = set()
-        for i, (u, v) in enumerate(zip(us, vs)):
+        for lineno, u, v in _e_records(text):
             pair = (u, v) if u < v else (v, u)
             if pair in seen:
-                raise ParseError(_e_line(text, i), "DuplicateRecord",
-                                 f"edge ({u}, {v}) given twice")
+                raise ParseError(lineno, "DuplicateRecord", f"edge ({u}, {v}) given twice")
             seen.add(pair)
     return Instance(graph=graph, partition=partition,
                     budgets=Budgets(tuple(b_records[p] for p in range(1, k + 1))))
@@ -176,37 +205,117 @@ def parse_instance(text: str) -> Instance:
 # numbers after it.
 _LINE = re.compile(r"(.*)(?:\n|\Z)")
 _RECORDS = {"v": "v <vertex> <part>", "b": "b <part> <budget>", "e": "e <u> <v>"}
-# up to _RUN_LINES consecutive plain e records, each ended by LF; capping the
-# chunk keeps the transient token lists the same size however long the run
+# up to _RUN_LINES consecutive plain v or e records, each ended by LF;
+# capping the chunk keeps the transient token lists the same size however
+# long the run
 _RUN_LINES = 1024
+_V_RUN = re.compile(r"(?:v [0-9]{1,18} [0-9]{1,18}\n){1,%d}" % _RUN_LINES)
 _E_RUN = re.compile(r"(?:e [0-9]{1,18} [0-9]{1,18}\n){1,%d}" % _RUN_LINES)
 
 
-def _run_pairs(run: str, ids: dict[str, int]) -> tuple[list[int], list[int]] | None:
-    """The first and the second endpoints of an _E_RUN match's lines, as
-    two lists, each field mapped through ids (decimal text -> vertex, for
-    every vertex 1..n), or None when a field is not in ids or a line is a
-    self-loop; the caller then reads the run line by line."""
+def _v_chunk(run: str, n: int, k: int,
+             v_records: dict[int, int]) -> tuple[list[int], list[int]] | None:
+    """The vertices and the parts of a _V_RUN match's lines, as two lists,
+    or None when a vertex lies outside 1..n, a part outside 1..k or a vertex
+    is assigned twice, in the run or before it; the caller then reads the
+    run line by line."""
     fields = run.split()
+    vertices = list(map(int, fields[1::3]))
+    parts = list(map(int, fields[2::3]))
+    if (0 < min(vertices) and max(vertices) <= n and 0 < min(parts) and max(parts) <= k
+            and len(set(vertices)) == len(vertices) and v_records.keys().isdisjoint(vertices)):
+        return vertices, parts
+    return None
+
+
+def _lists(v_records: dict[int, int], early: list[int], last: tuple[int, int] | None
+           ) -> tuple[dict[str, int], list[list[int]], tuple[int, int] | None]:
+    """Once all n v records are read: the table from decimal text to vertex,
+    the n + 1 neighbour lists (index 0 unused) holding the e records read
+    so far, and the canonical-order state after them."""
+    adj: list[list[int]] = [[] for _ in range(len(v_records) + 1)]
+    for u, v in zip(early[::2], early[1::2]):
+        last = _add_tails(adj, (u,), (1,), (v,), u < v, last)
+    early.clear()
+    return {str(v): v for v in v_records}, adj, last
+
+
+def _e_chunk(run: str, ids: dict[str, int]
+             ) -> tuple[list[int], list[int], list[int], bool] | None:
+    """An _E_RUN match's lines, every field mapped through ids (decimal
+    text -> vertex, for every vertex 1..n), in groups of consecutive lines
+    with the same first field: each group's first endpoint, each group's
+    size, the second endpoints in file order (the groups' tails, one after
+    the other), and whether the chunk alone is in canonical order. None
+    when a field is not in ids or a line is a self-loop; the caller then
+    reads the run line by line. Two flat lists, not one tuple per group,
+    keep text in any order as light as canonical text."""
+    fields = run.split()
+    firsts, seconds = fields[1::3], fields[2::3]
+    us: list[int] = []
+    sizes: list[int] = []
+    ordered, prev, i = True, 0, 0
     try:
-        us = list(map(ids.__getitem__, fields[1::3]))
-        vs = list(map(ids.__getitem__, fields[2::3]))
+        vs = list(map(ids.__getitem__, seconds))
+        for u, group in groupby(firsts):
+            size = len(list(group))
+            u = ids[u]
+            if ordered:
+                tail = vs[i:i + size]
+                ordered = prev < u < tail[0] and all(map(lt, tail, islice(tail, 1, None)))
+            us.append(u)
+            sizes.append(size)
+            prev = u
+            i += size
     except KeyError:
         return None
-    if any(map(eq, us, vs)):
+    # an ordered chunk has u < v on every line; else compare each line's
+    # fields, equal as text iff equal as vertices since both are in ids
+    if not ordered and any(map(eq, firsts, seconds)):
         return None
-    return us, vs
+    return us, sizes, vs, ordered
 
 
-def _e_line(text: str, i: int) -> int:
-    """Line of the i-th e record (from 0), found again only for an error:
-    the loop read every line led by token e as one."""
+def _add_tails(adj: list[list[int]], us: Sequence[int], sizes: Sequence[int],
+               vs: Sequence[int], ordered: bool,
+               last: tuple[int, int] | None) -> tuple[int, int] | None:
+    """Add the edges of _e_chunk's groups, in canonical order by themselves
+    if ordered, to the neighbour lists: each group's tail onto adj[u], u
+    onto each tail vertex's list. last is the previous edge while every
+    edge so far came in canonical order, else None; the same is returned
+    after these edges."""
+    if last is not None:
+        last = (us[-1], vs[-1]) if ordered and (
+            last[0] < us[0] or last[0] == us[0] and last[1] < vs[0]) else None
+    i = 0
+    for u, size in zip(us, sizes):
+        tail = vs[i:i + size]
+        i += size
+        adj[u] += tail
+        for v in tail:
+            adj[v].append(u)
+    return last
+
+
+def _sort_lists(adj: list[list[int]]) -> bool:
+    """Sort in place each neighbour list that is not strictly ascending;
+    True iff a sorted list holds a neighbour twice, a pair given twice."""
+    repeated = False
+    for nbrs in adj:
+        if not all(map(lt, nbrs, islice(nbrs, 1, None))):
+            nbrs.sort()
+            repeated = repeated or not all(map(lt, nbrs, islice(nbrs, 1, None)))
+    return repeated
+
+
+def _e_records(text: str):
+    """(line, u, v) of each e record in file order, read again only to name
+    an error's line: the loop read every line led by token e as one, so
+    each has two integer fields."""
     for lineno, line in enumerate(_LINE.finditer(text), 1):
-        if line[0].split()[:1] == ["e"]:
-            if i == 0:
-                return lineno
-            i -= 1
-    raise AssertionError("fewer e records than edges read")
+        tokens = line[1].split()
+        if tokens[:1] == ["e"]:
+            yield lineno, int(tokens[1]), int(tokens[2])
 
 
 def serialize_instance(inst: Instance) -> str:

@@ -267,30 +267,41 @@ e 2 3
 """
 
 
-# stands in for ioformat._E_RUN to turn the e-record run off
+# stands in for ioformat._E_RUN or _V_RUN to turn a record run off
 _NO_RUN = re.compile("(?!)")
 
 
-def _outcomes(text):
-    """(outcome, sizes of the e-record runs read in bulk, or None for a run
-    refused, and the outcome with the run turned off: line by line)."""
-    sizes, read = [], ioformat._run_pairs
+def _outcomes(text, reader="_e_chunk"):
+    """(outcome, line counts of the runs that reader, ioformat's _e_chunk or
+    _v_chunk, read in bulk, or None for a run refused, and the outcome with
+    the v and e runs turned off: line by line)."""
+    sizes, read = [], getattr(ioformat, reader)
 
-    def run_pairs(run, ids):
-        ends = read(run, ids)
-        sizes.append(None if ends is None else len(ends[0]))
-        return ends
+    def counting(run, *args):
+        chunk = read(run, *args)
+        sizes.append(None if chunk is None else run.count("\n"))
+        return chunk
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ioformat, "_run_pairs", run_pairs)
+        mp.setattr(ioformat, reader, counting)
         outcome = _outcome(text)
         mp.setattr(ioformat, "_E_RUN", _NO_RUN)
+        mp.setattr(ioformat, "_V_RUN", _NO_RUN)
         return outcome, sizes, _outcome(text)
+
+
+def _peak(text):
+    """parse_instance(text) and its tracemalloc peak."""
+    tracemalloc.start()
+    try:
+        return parse_instance(text), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestEdgeRun:
     """The run of e records canonical text ends with, read in bulk, against
-    the same text read line by line, with the e-record run turned off."""
+    the same text read line by line, with the v and e runs turned off."""
 
     def assert_same_outcome(self, text, kind):
         """Both readings agree: EDGE_TAIL's instance, or an error of kind."""
@@ -451,18 +462,47 @@ class TestBulkRun:
         # vertex's decimal text refuses its chunk
         assert (None in sizes) == (kind == "Syntax" or edit == "leading-zero")
 
-    @pytest.mark.parametrize("edit, built", [
-        (None, 0), ("reversed", 1), ("out-of-order", 1)])
-    def test_build_graph_only_off_canonical_order(self, edit, built, monkeypatch):
-        calls = []
+    @pytest.mark.parametrize("edit, at, unsorted", [
+        (None, None, None),
+        # e 70 19 stands where e 19 70 was: every list still comes ascending
+        ("reversed", CHUNK, []),
+        # e 19 70 comes before e 19 68, so only vertex 19's list is out of order
+        ("out-of-order", CHUNK, [19]),
+        ("out-of-order", 0, [1])],
+        ids=["canonical", "reversed", "out-of-order", "out-of-order-first"])
+    def test_only_the_lists_out_of_order_are_sorted(self, edit, at, unsorted, monkeypatch):
+        sorted_lists, sort_lists = [], ioformat._sort_lists
 
-        def counting(n, pairs):
-            calls.append(n)
-            return build_graph(n, pairs)
+        def recording(adj):
+            sorted_lists.append([v for v, nbrs in enumerate(adj) if nbrs != sorted(set(nbrs))])
+            return sort_lists(adj)
 
-        monkeypatch.setattr(ioformat, "build_graph", counting)
-        inst = parse_instance(_run_text(3 * self.CHUNK + 1, edit, self.CHUNK))
-        assert inst.graph.m == 3 * self.CHUNK + 1 and len(calls) == built
+        def refused(*args):
+            raise AssertionError("parse_instance called build_graph")
+
+        monkeypatch.setattr(ioformat, "_sort_lists", recording)
+        monkeypatch.setattr(ioformat, "build_graph", refused)
+        m = 3 * self.CHUNK + 1
+        assert parse_instance(_run_text(m, edit, at)) == parse_instance(_run_text(m))
+        # canonical text reaches no sort at all
+        assert sorted_lists == ([] if unsorted is None else [unsorted])
+
+    @pytest.mark.parametrize("order", ["reversed", "shuffled", "flipped"])
+    def test_any_e_line_order_parses_to_the_canonical_instance(self, order):
+        text = serialize_instance(gen_kpartite(GenSpec(n=200, k=4, density=0.5, seed=41)))
+        lines = text.splitlines(keepends=True)
+        e_start = 1 + 200 + 4
+        head, es = lines[:e_start], lines[e_start:]
+        if order == "reversed":
+            es.reverse()
+        elif order == "shuffled":
+            random.Random(20261021).shuffle(es)
+        else:
+            es = [f"e {v} {u}\n" for _, u, v in map(str.split, es)]
+        canonical, canonical_peak = _peak(text)
+        inst, peak = _peak("".join(head + es))
+        assert inst == canonical
+        assert peak <= 1.15 * canonical_peak
 
     def test_v_records_after_the_first_run(self):
         # bulk reading starts at the last v record, so the first chunk is
@@ -484,19 +524,10 @@ class TestBulkRun:
     def peaks(spec):
         """tracemalloc peaks of parsing spec's text with and without the run."""
         text = serialize_instance(gen_kpartite(spec))
-
-        def peak():
-            tracemalloc.start()
-            try:
-                parse_instance(text)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        with_run = peak()
+        with_run = _peak(text)[1]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ioformat, "_E_RUN", _NO_RUN)
-            return with_run, peak()
+            return with_run, _peak(text)[1]
 
     def test_chunk_memory_is_bounded(self):
         with_run, without_run = self.peaks(GenSpec(n=200, k=4, density=0.5, seed=41))
@@ -507,6 +538,84 @@ class TestBulkRun:
         # the table every edge holds its vertex's one int
         with_run, without_run = self.peaks(GenSpec(n=600, k=4, density=0.5, seed=41))
         assert with_run <= 0.9 * without_run
+
+
+def _v_text(n, edit=None, at=None):
+    """Text whose v records are one run of n plain lines, vertex w in part
+    2 - w % 2, with the v record at index `at` edited, then its two b records
+    and the path 1-2-...-n as e records."""
+    lines = [f"v {w} {2 - w % 2}" for w in range(1, n + 1)]
+    b_lines = [f"b 1 {n}", f"b 2 {n}"]
+    w = at + 1 if at is not None else 0
+    if edit == "duplicate":
+        lines[at] = lines[at - 1] if at else lines[1]
+    elif edit == "vertex-0":
+        lines[at] = f"v 0 {2 - w % 2}"
+    elif edit == "vertex-n-plus-1":
+        lines[at] = f"v {n + 1} {2 - w % 2}"
+    elif edit == "part-0":
+        lines[at] = f"v {w} 0"
+    elif edit == "part-k-plus-1":
+        lines[at] = f"v {w} 3"
+    elif edit == "leading-zero":
+        lines[at] = f"v 0{w} {2 - w % 2}"
+    elif edit == "19-digit":
+        lines[at] = f"v {w:019d} {2 - w % 2}"
+    elif edit == "cr":
+        lines[at] += "\r"
+    elif edit == "comment":
+        lines.insert(at, "c note")
+    elif edit == "b-record":
+        lines.insert(at, b_lines.pop())
+    return "".join([f"p kpvc {n} {n - 1} 2\n",
+                    *(line + "\n" for line in lines + b_lines),
+                    *(f"e {u} {u + 1}\n" for u in range(1, n))])
+
+
+class TestVRun:
+    """A run of plain v records is read _RUN_LINES at a time, as e runs are;
+    any chunk with a bad record goes line by line, so every outcome matches
+    a parse with the v and e runs turned off."""
+
+    CHUNK = ioformat._RUN_LINES
+    N = 3 * CHUNK + 1
+
+    @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 1])
+    def test_run_lengths(self, n):
+        outcome, sizes, expected = _outcomes(_v_text(n), "_v_chunk")
+        assert outcome == expected and outcome.partition.n == n
+        full, rest = divmod(n, self.CHUNK)
+        assert sizes == [self.CHUNK] * full + [rest] * (rest > 0)
+
+    @pytest.mark.parametrize("at", [0, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1,
+                                    2 * CHUNK, 2 * CHUNK + 1, 3 * CHUNK - 1, 3 * CHUNK])
+    @pytest.mark.parametrize("edit, kind", [
+        ("duplicate", "DuplicateRecord"), ("vertex-0", "Syntax"),
+        ("vertex-n-plus-1", "Syntax"), ("part-0", "Syntax"), ("part-k-plus-1", "Syntax"),
+        ("leading-zero", None), ("19-digit", None), ("cr", None), ("comment", None),
+        ("b-record", None)])
+    def test_edited_record(self, edit, kind, at):
+        outcome, sizes, expected = _outcomes(_v_text(self.N, edit, at), "_v_chunk")
+        assert outcome == expected
+        if kind is None:
+            assert outcome == parse_instance(_v_text(self.N))
+        else:
+            # the p line comes first; a copy of the next line at index 0
+            # is refused at that next line
+            assert outcome[:2] == (kind, 2 + at + (edit == "duplicate" and at == 0))
+        # a record outside the ranges or repeating a vertex refuses its chunk
+        assert (None in sizes) == (kind is not None)
+
+    def test_a_hostile_header_allocates_nothing(self):
+        text = "p kpvc 1000000000000 0 2\n" + "".join(f"v {w} 1\n" for w in range(1, 3000))
+        tracemalloc.start()
+        try:
+            err = parse_err(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert err.kind == "MissingVertexAssignment" and "vertex 3000" in str(err)
+        assert peak < 1_000_000
 
 
 class TestSerialize:
