@@ -48,7 +48,8 @@ group's u is above the last one's (or equal to it where a group spans two
 chunks, with its tail going on past the last one's), its tail starts above u
 and rises, and every neighbour list comes out strictly ascending: smaller
 neighbours arrive first, with their own groups, then the tail. Each group is
-checked so; text in any other order only drops the check, and then the
+checked so; a chunk whose first line is written v u is grouped by its second
+fields, so text with every pair the other way round passes too; text in any other order only drops the check, and then the
 lists that are not strictly ascending are sorted in place, and an equal
 neighbour in a sorted list is a pair given twice. Intra-part edges are found
 after the loop with one set per part of the built graph, the union of its
@@ -246,16 +247,20 @@ def _e_chunk(run: str, ids: dict[str, int]
     text -> vertex, for every vertex 1..n), in groups of consecutive lines
     with the same first field: each group's first endpoint, each group's
     size, the second endpoints in file order (the groups' tails, one after
-    the other), and whether the chunk alone is in canonical order. None
-    when a field is not in ids or a line is a self-loop; the caller then
-    reads the run line by line. Two flat lists, not one tuple per group,
-    keep text in any order as light as canonical text."""
+    the other), and whether the chunk alone is in canonical order. A chunk
+    whose first line has u > v is grouped by its second fields instead, so
+    text that writes every pair the other way round reads as canonical text
+    does. None when a field is not in ids or a line is a self-loop; the
+    caller then reads the run line by line. Two flat lists, not one tuple
+    per group, keep text in any order as light as canonical text."""
     fields = run.split()
     firsts, seconds = fields[1::3], fields[2::3]
     us: list[int] = []
     sizes: list[int] = []
     ordered, prev, i = True, 0, 0
     try:
+        if ids[firsts[0]] > ids[seconds[0]]:  # written v u: group by the smaller field
+            firsts, seconds = seconds, firsts
         vs = list(map(ids.__getitem__, seconds))
         for u, group in groupby(firsts):
             size = len(list(group))

@@ -488,7 +488,7 @@ class TestBulkRun:
         assert sorted_lists == ([] if unsorted is None else [unsorted])
 
     @pytest.mark.parametrize("order", ["reversed", "shuffled", "flipped"])
-    def test_any_e_line_order_parses_to_the_canonical_instance(self, order):
+    def test_any_e_line_order_parses_to_the_canonical_instance(self, order, monkeypatch):
         text = serialize_instance(gen_kpartite(GenSpec(n=200, k=4, density=0.5, seed=41)))
         lines = text.splitlines(keepends=True)
         e_start = 1 + 200 + 4
@@ -500,9 +500,14 @@ class TestBulkRun:
         else:
             es = [f"e {v} {u}\n" for _, u, v in map(str.split, es)]
         canonical, canonical_peak = _peak(text)
+        sorts, sort_lists = [], ioformat._sort_lists
+        monkeypatch.setattr(ioformat, "_sort_lists",
+                            lambda adj: sorts.append(order) or sort_lists(adj))
         inst, peak = _peak("".join(head + es))
         assert inst == canonical
         assert peak <= 1.15 * canonical_peak
+        # every pair written v u, in canonical order otherwise, needs no sort
+        assert sorts == ([] if order == "flipped" else [order])
 
     def test_v_records_after_the_first_run(self):
         # bulk reading starts at the last v record, so the first chunk is
