@@ -27,7 +27,8 @@ parse_outcome, as in parse, on each large spec's text after one seeded
 edit at each of several lines: its first e line, the lines on each side of
 its first two and its last e-chunk boundaries (every CHUNK e lines), its
 last line and three lines of its v section; and on the same text with its
-e section reversed and with it shuffled. Run it against any checkout's
+e section reversed, with every e line's two vertices swapped, and with its
+e section shuffled. Run it against any checkout's
 sources:
 
     PYTHONPATH=src python scripts/exact_digest.py
@@ -64,7 +65,7 @@ EXPECTED = {
     "cvck-large": "f0088dba1737a3e5f94a08fcf665f3f3e4a6481b22875a015b990b481d58d7a5",
     "generators": "827e2bd75ed93b07496040a68bbbb29a643492760fe105826c9d740407f89360",
     "approx": "23d12011f512a98920c49d587256c562616fdfd4284211c696cadcdd1929523b",
-    "parse-large": "3a1be8444f2830cc2300e1f696ac23e6cc1535be75edf42fd2a3afe0c3c55263",
+    "parse-large": "0fcb5a4d88a6c0ec7e08786f580012224c114483cec728aecd0e45d3591111f9",
 }
 LARGE_SPECS = (
     GenSpec(n=200, k=4, density=0.5, seed=41),
@@ -152,7 +153,8 @@ def edit(text: str, rng: SplitMix64, at: int | None = None) -> str:
 
 def large_parse_texts(text: str, rng: SplitMix64):
     """The parse-large texts of one canonical text: one edit at each line
-    the module docstring names, then the e section reversed and shuffled."""
+    the module docstring names, then the e section reversed, flipped and
+    shuffled."""
     lines = text.split("\n")[:-1]
     _, _, n, _, k = lines[0].split()
     e_start = 1 + int(n) + int(k)  # p line, v records, b records
@@ -164,6 +166,7 @@ def large_parse_texts(text: str, rng: SplitMix64):
         yield edit(text, rng, at)
     head, es = lines[:e_start], lines[e_start:]
     yield "\n".join(head + es[::-1]) + "\n"
+    yield "\n".join(head + [f"e {v} {u}" for _, u, v in map(str.split, es)]) + "\n"
     for i in range(len(es) - 1, 0, -1):  # Fisher-Yates
         j = rng.next_below(i + 1)
         es[i], es[j] = es[j], es[i]
