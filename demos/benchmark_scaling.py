@@ -3,10 +3,11 @@
 
 Runs a seeded ensemble at several sizes and prints, per size, the mean
 op_count next to the mean solve time and the number of trials that ended in
-each status, then the log-log slope of each mean against n. On dense inputs the count grows roughly quadratically. op_count is a
-deterministic count of the documented operations, not a time proxy: the
-lookahead's popcounts and sorts take time it does not count, so the time
-slope is measured, not inferred from the count.
+each status, then the log-log slope of each mean against n. On dense inputs
+the count grows roughly quadratically. op_count is a deterministic count of
+the documented operations, not a time proxy: the lookahead's popcounts and
+sorts take time it does not count, so the time slope is measured, not
+inferred from the count.
 """
 
 import time

@@ -44,7 +44,7 @@ from itertools import accumulate, chain, compress, pairwise, repeat
 from .approx import two_approx_vc
 from .errors import SpecInvalidError
 from .exact import exact_min_vc
-from .graph import (Budgets, Graph, Instance, KPartition, _sorted_graph,
+from .graph import (Budgets, Graph, Instance, KPartition, _add_tail, _graph,
                     build_graph, make_partition, per_part_usage)
 from .ioformat import _decimal
 
@@ -168,18 +168,20 @@ def _contiguous_parts(sizes: Sequence[int], hits: Iterator) -> tuple[Graph, KPar
     flag of hits, in ascending pair order, and is an edge iff it is true.
     u's partners in later parts are exactly end..n, sliced once per part
     from one list of ids, and compress reads one flag per partner, so a
-    missed pair allocates nothing; the pairs stream into _sorted_graph
-    through one zip per vertex, which reuses its result tuple.
+    missed pair allocates nothing; the hits are u's tail, which _add_tail
+    puts onto the neighbour lists in ascending order, so _graph sorts
+    nothing.
     """
     n = sum(sizes)
     ids = list(range(n + 1))
     bounds = list(accumulate(sizes, initial=1))  # part p is bounds[p-1]..bounds[p]-1
-    pairs = chain.from_iterable(zip(repeat(u), compress(partners, hits))
-                                for start, end in pairwise(bounds)
-                                for partners in (ids[end:],)
-                                for u in range(start, end))
+    adj: list[list[int]] = [[] for _ in range(n + 1)]
+    for start, end in pairwise(bounds):
+        partners = ids[end:]
+        for u in range(start, end):
+            _add_tail(adj, u, list(compress(partners, hits)))
     assign = [p for p, size in enumerate(sizes, start=1) for _ in range(size)]
-    return _sorted_graph(n, pairs), make_partition(len(sizes), assign)
+    return _graph(adj, ordered=True), make_partition(len(sizes), assign)
 
 
 def _hit_flags(seed: int, draws: int, density: float) -> Iterator[bytes]:

@@ -6,6 +6,11 @@ ascending tail of adjacency[u] past u, and u in the head of adjacency[v].
 sorted_edges() derives the ascending (u, v) tuple from those tails on every
 call, so a caller that walks the edges more than once keeps the tuple;
 the layers that walk every edge in timed code walk the tails instead.
+This module alone lays adjacency out. Every Graph is built by filling
+n + 1 neighbour lists, by _add_tail (u's tail onto adj[u], u onto each
+tail vertex's list) in the generators, complement and the parser, or a
+pair at a time in build_graph, and finished by _graph, which applies the
+one ordering rule, _sort_lists, unless the lists are known to ascend.
 All types are immutable after construction, so instances can be shared
 freely between concurrent solver calls; solvers that need a mutable edge
 view keep their own overlay.
@@ -16,7 +21,8 @@ from __future__ import annotations
 from bisect import bisect
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import filterfalse, islice
+from operator import lt
 
 from .errors import InstanceInvalidError, SelfLoopError, VertexOutOfRangeError
 
@@ -58,52 +64,68 @@ def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
     """Construct a Graph from a vertex count and an edge pair sequence.
 
     Duplicate pairs (in either orientation) are deduplicated silently.
-    Self-loops and endpoints outside 1..n are hard errors. Input that is
-    already nearly sorted sorts in close to linear time. The oriented pairs are a transient list; _sorted_graph
-    reads them into adjacency and they are dropped.
+    Self-loops and endpoints outside 1..n are hard errors. Each checked pair
+    is appended to both endpoints' lists, and _graph orders them: pairs in
+    ascending edge order, either way round, leave every list ascending and
+    sort nothing, so no tuple per edge is made.
     """
     if n < 1:
         raise VertexOutOfRangeError(f"vertex count must be >= 1, got {n}")
-    pairs: list[Edge] = []
-    append = pairs.append
-    for e in edge_list:
-        u, v = e
+    adj: list[list[int]] = [[] for _ in range(n + 1)]
+    for u, v in edge_list:
         if u == v:
             raise SelfLoopError(f"self-loop at vertex {u}")
         if not (1 <= u <= n) or not (1 <= v <= n):
             raise VertexOutOfRangeError(f"edge ({u}, {v}) outside 1..{n}")
-        if u > v:
-            e = (v, u)
-        elif type(e) is not tuple:
-            e = (u, v)
-        append(e)
-    pairs.sort()  # duplicates are now adjacent: groupby keeps one of each
-    return _sorted_graph(n, (e for e, _ in groupby(pairs)))
-
-
-def _sorted_graph(n: int, pairs: Iterable[Edge]) -> Graph:
-    """Graph from a stream of (u, v) pairs that are already ascending,
-    distinct, in 1..n and have u < v, as build_graph leaves them and as the
-    generators and complement emit them; nothing is checked again. In
-    ascending edge order each neighbor list is appended in ascending order:
-    v's smaller neighbors u arrive with edges (u, v), sorted by u, before
-    its larger ones, sorted by the second endpoint. Each pair is unpacked
-    and dropped, so a zip that feeds it reuses one result tuple and no tuple
-    per edge is made."""
-    adj: list[list[int]] = [[] for _ in range(n + 1)]
-    for u, v in pairs:
         adj[u].append(v)
         adj[v].append(u)
-    return Graph(n=n, m=sum(map(len, adj)) // 2, adjacency=tuple(map(tuple, adj)))
+    return _graph(adj, ordered=False)
+
+
+def _add_tail(adj: list[list[int]], u: int, tail: Sequence[int]) -> None:
+    """The one fill step: u's tail, its neighbours above u, goes onto adj[u]
+    in one +=, and u is appended to each tail vertex's list. Filled for u
+    = 1..n in turn with ascending tails, every list comes out strictly
+    ascending: v's smaller neighbours arrive with their own tails, in
+    order, before its tail."""
+    adj[u] += tail
+    for v in tail:
+        adj[v].append(u)
+
+
+def _sort_lists(adj: list[list[int]]) -> bool:
+    """The one ordering rule: sort in place each neighbour list that is not
+    strictly ascending; True iff a sorted list holds a neighbour twice, a
+    pair given twice."""
+    repeated = False
+    for nbrs in adj:
+        if not all(map(lt, nbrs, islice(nbrs, 1, None))):
+            nbrs.sort()
+            repeated = repeated or not all(map(lt, nbrs, islice(nbrs, 1, None)))
+    return repeated
+
+
+def _graph(adj: list[list[int]], ordered: bool) -> Graph:
+    """The one finisher: the Graph on 1..n whose n + 1 neighbour lists adj
+    holds (index 0 empty), each edge in both endpoints' lists. Unless the
+    caller knows every list is strictly ascending (ordered), _sort_lists
+    orders them, and where it finds a pair given twice each list keeps one
+    of each neighbour, so m counts the distinct pairs."""
+    lists = adj
+    if not ordered and _sort_lists(adj):
+        lists = map(dict.fromkeys, adj)  # sorted, so one of each neighbour, in order
+    adjacency = tuple(map(tuple, lists))
+    return Graph(n=len(adj) - 1, m=sum(map(len, adjacency)) // 2, adjacency=adjacency)
 
 
 def complement(g: Graph) -> Graph:
-    """Graph on the same vertices whose edge set is inverted over all pairs."""
-    nbrs = list(map(set, g.adjacency))
-    return _sorted_graph(g.n, ((u, v)
-                               for u in range(1, g.n + 1)
-                               for v in range(u + 1, g.n + 1)
-                               if v not in nbrs[u]))
+    """Graph on the same vertices whose edge set is inverted over all pairs:
+    each vertex's tail is the vertices above it that it misses."""
+    n = g.n
+    adj: list[list[int]] = [[] for _ in range(n + 1)]
+    for u, nbrs in enumerate(g.adjacency[1:], start=1):
+        _add_tail(adj, u, list(filterfalse(set(nbrs).__contains__, range(u + 1, n + 1))))
+    return _graph(adj, ordered=True)
 
 
 @dataclass(frozen=True)

@@ -39,9 +39,10 @@ has u < v on every line; in any other, a self-loop is ruled out by
 comparing each line's two fields as text. A chunk with a self-loop or a
 field the table lacks (a leading zero or a vertex outside 1..n) is read
 line by line instead, and the cap keeps the chunk's token lists small
-however long the run. Each group's first endpoint u then takes its tail,
-the group's second endpoints, onto its list in one extend, and u is
-appended to each tail vertex's list: no tuple per edge.
+however long the run. Each group's first endpoint u and its tail, the
+group's second endpoints, then go to graph._add_tail, the fill step every
+builder shares: the tail onto u's list in one +=, and u onto each tail
+vertex's list, with no tuple per edge.
 
 Canonical text gives its edges with u < v and strictly ascending. Then every
 group's u is above the last one's (or equal to it where a group spans two
@@ -49,12 +50,16 @@ chunks, with its tail going on past the last one's), its tail starts above u
 and rises, and every neighbour list comes out strictly ascending: smaller
 neighbours arrive first, with their own groups, then the tail. Each group is
 checked so; a chunk whose first line is written v u is grouped by its second
-fields, so text with every pair the other way round passes too; text in any other order only drops the check, and then the
-lists that are not strictly ascending are sorted in place, and an equal
-neighbour in a sorted list is a pair given twice. Intra-part edges are found
-after the loop with one set per part of the built graph, the union of its
-members' neighbour tails, tested against the part. Only to name the line of
-an intra-part or repeated edge are the e records read again from the text.
+fields, so text with every pair the other way round passes too. Text in any
+other order only drops the check, and graph._graph then finishes the lists
+with the shared ordering rule: the lists that are not strictly ascending
+are sorted in place, and a pair given twice, an equal neighbour in a sorted
+list, is kept once, so the graph has fewer edges than the p line declares.
+This module only reads text: graph.py alone orders the lists and builds the
+Graph. Intra-part edges are found after the loop with one set per part of
+the built graph, the union of its members' neighbour tails, tested against
+the part. Only to name the line of an intra-part or repeated edge are the e
+records read again from the text.
 """
 
 from __future__ import annotations
@@ -67,7 +72,7 @@ from operator import eq, lt
 from .errors import ParseError
 # build_graph stays a module attribute, though parse_instance does not call
 # it: kpbench's tracer wraps kpcover.ioformat.build_graph
-from .graph import (Budgets, Graph, Instance, _has_intra_part_edge,
+from .graph import (Budgets, Instance, _add_tail, _graph, _has_intra_part_edge,
                     build_graph, make_partition, validate_instance)
 
 
@@ -183,14 +188,14 @@ def parse_instance(text: str) -> Instance:
         raise ParseError(p_lineno, "MissingBudget",
                          f"no b record for part {missing}")
     partition = make_partition(k, v_records)  # vertices 1..n, parts 1..k: no raise
-    repeated = last is None and _sort_lists(adj)
-    graph = Graph(n=n, m=m, adjacency=tuple(map(tuple, adj)))
+    # a pair given twice is kept once, so the graph has fewer than m edges
+    graph = _graph(adj, ordered=last is not None)
     if _has_intra_part_edge(graph, partition):  # the file-order walk names the first
         part_of = partition.part_of
         lineno, u, v = next((lineno, u, v) for lineno, u, v in _e_records(text)
                             if part_of[u] == part_of[v])
         raise ParseError(lineno, "IntraPartEdge", f"edge ({u}, {v}) inside part {part_of[u]}")
-    if repeated:  # name the line of the first pair's second copy
+    if graph.m < m:  # name the line of the first pair's second copy
         seen: set[tuple[int, int]] = set()
         for lineno, u, v in _e_records(text):
             pair = (u, v) if u < v else (v, u)
@@ -285,32 +290,17 @@ def _add_tails(adj: list[list[int]], us: Sequence[int], sizes: Sequence[int],
                vs: Sequence[int], ordered: bool,
                last: tuple[int, int] | None) -> tuple[int, int] | None:
     """Add the edges of _e_chunk's groups, in canonical order by themselves
-    if ordered, to the neighbour lists: each group's tail onto adj[u], u
-    onto each tail vertex's list. last is the previous edge while every
-    edge so far came in canonical order, else None; the same is returned
-    after these edges."""
+    if ordered, to the neighbour lists, each group by graph._add_tail with
+    its u and tail. last is the previous edge while every edge so far came
+    in canonical order, else None; the same is returned after these edges."""
     if last is not None:
         last = (us[-1], vs[-1]) if ordered and (
             last[0] < us[0] or last[0] == us[0] and last[1] < vs[0]) else None
     i = 0
     for u, size in zip(us, sizes):
-        tail = vs[i:i + size]
+        _add_tail(adj, u, vs[i:i + size])
         i += size
-        adj[u] += tail
-        for v in tail:
-            adj[v].append(u)
     return last
-
-
-def _sort_lists(adj: list[list[int]]) -> bool:
-    """Sort in place each neighbour list that is not strictly ascending;
-    True iff a sorted list holds a neighbour twice, a pair given twice."""
-    repeated = False
-    for nbrs in adj:
-        if not all(map(lt, nbrs, islice(nbrs, 1, None))):
-            nbrs.sort()
-            repeated = repeated or not all(map(lt, nbrs, islice(nbrs, 1, None)))
-    return repeated
 
 
 def _e_records(text: str):

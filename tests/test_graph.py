@@ -18,7 +18,7 @@ from kpcover import (Budgets, GenSpec, Instance, InstanceInvalidError,
                      parse_instance, per_part_usage, reduce_clique_to_vc,
                      respects_budgets, serialize_instance, solve, solve_cvck,
                      validate_instance)
-from kpcover import cli, graph
+from kpcover import cli
 
 from oracles import covers_all_edges, within_budgets
 from strategies import graphs, instances
@@ -72,6 +72,23 @@ class TestBuildGraph:
     def test_out_of_range_rejected(self):
         with pytest.raises(VertexOutOfRangeError):
             build_graph(3, [(1, 4)])
+
+    def test_no_tuple_per_edge(self):
+        # sorting one oriented (u, v) tuple per edge peaked at about 101 B per
+        # edge on the flipped, reversed pairs, against 45 on the ascending ones
+        g = gen_kpartite(GenSpec(n=200, k=4, density=0.5, seed=41)).graph
+        ascending = list(g.sorted_edges())
+        flipped = [(v, u) for u, v in reversed(ascending)]
+        peaks = []
+        for pairs in (ascending, flipped):
+            tracemalloc.start()
+            try:
+                built = build_graph(g.n, pairs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert built == g
+        assert peaks[1] <= 48 * g.m and peaks[1] <= 1.1 * peaks[0], [p / g.m for p in peaks]
 
     @given(graphs())
     def test_adjacency_symmetric(self, g):
@@ -194,7 +211,7 @@ class TestAdjacencyContract:
         edges = g.sorted_edges()
         tracemalloc.start()
         try:
-            rebuilt = graph._sorted_graph(g.n, edges)  # shares the edge tuple
+            rebuilt = build_graph(g.n, edges)
             held_graph = tracemalloc.get_traced_memory()[0]
             parsed = parse_instance(text)
             held_parsed = tracemalloc.get_traced_memory()[0] - held_graph

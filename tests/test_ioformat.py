@@ -15,7 +15,7 @@ from kpcover import (ALGOS, Budgets, GenSpec, Instance, InstanceInvalidError,
                      ParseError, build_graph, gen_kpartite, make_partition,
                      parse_instance, serialize_instance, solve,
                      validate_instance)
-from kpcover import ioformat, solvers
+from kpcover import graph, ioformat, solvers
 
 from test_generate import _large_specs
 
@@ -471,7 +471,7 @@ class TestBulkRun:
         ("out-of-order", 0, [1])],
         ids=["canonical", "reversed", "out-of-order", "out-of-order-first"])
     def test_only_the_lists_out_of_order_are_sorted(self, edit, at, unsorted, monkeypatch):
-        sorted_lists, sort_lists = [], ioformat._sort_lists
+        sorted_lists, sort_lists = [], graph._sort_lists
 
         def recording(adj):
             sorted_lists.append([v for v, nbrs in enumerate(adj) if nbrs != sorted(set(nbrs))])
@@ -480,7 +480,7 @@ class TestBulkRun:
         def refused(*args):
             raise AssertionError("parse_instance called build_graph")
 
-        monkeypatch.setattr(ioformat, "_sort_lists", recording)
+        monkeypatch.setattr(graph, "_sort_lists", recording)
         monkeypatch.setattr(ioformat, "build_graph", refused)
         m = 3 * self.CHUNK + 1
         assert parse_instance(_run_text(m, edit, at)) == parse_instance(_run_text(m))
@@ -500,8 +500,8 @@ class TestBulkRun:
         else:
             es = [f"e {v} {u}\n" for _, u, v in map(str.split, es)]
         canonical, canonical_peak = _peak(text)
-        sorts, sort_lists = [], ioformat._sort_lists
-        monkeypatch.setattr(ioformat, "_sort_lists",
+        sorts, sort_lists = [], graph._sort_lists
+        monkeypatch.setattr(graph, "_sort_lists",
                             lambda adj: sorts.append(order) or sort_lists(adj))
         inst, peak = _peak("".join(head + es))
         assert inst == canonical
