@@ -26,9 +26,11 @@ pinned beyond the budgets it derives. A ninth, parse-large, hashes
 parse_outcome, as in parse, on each large spec's text after one seeded
 edit at each of several lines: its first e line, the lines on each side of
 its first two and its last e-chunk boundaries (every CHUNK e lines), its
-last line and three lines of its v section; and on the same text with its
-e section reversed, with every e line's two vertices swapped, and with its
-e section shuffled. Run it against any checkout's
+last line and three lines of its v section; on the same text with its e
+section reversed, with every e line's two vertices swapped, and with its e
+section shuffled; and on the same text with every line ended by CR LF and
+with its e section moved before its v section, two texts whose e records
+all go through the parser's line reader. Run it against any checkout's
 sources:
 
     PYTHONPATH=src python scripts/exact_digest.py
@@ -65,7 +67,7 @@ EXPECTED = {
     "cvck-large": "f0088dba1737a3e5f94a08fcf665f3f3e4a6481b22875a015b990b481d58d7a5",
     "generators": "827e2bd75ed93b07496040a68bbbb29a643492760fe105826c9d740407f89360",
     "approx": "23d12011f512a98920c49d587256c562616fdfd4284211c696cadcdd1929523b",
-    "parse-large": "0fcb5a4d88a6c0ec7e08786f580012224c114483cec728aecd0e45d3591111f9",
+    "parse-large": "ea51382b3b90fd191cbd97ef2f6a0e122ffc8c79194802f7a3ebfdd2e718f4ad",
 }
 LARGE_SPECS = (
     GenSpec(n=200, k=4, density=0.5, seed=41),
@@ -154,7 +156,7 @@ def edit(text: str, rng: SplitMix64, at: int | None = None) -> str:
 def large_parse_texts(text: str, rng: SplitMix64):
     """The parse-large texts of one canonical text: one edit at each line
     the module docstring names, then the e section reversed, flipped and
-    shuffled."""
+    shuffled, then every line ended by CR LF and the e section first."""
     lines = text.split("\n")[:-1]
     _, _, n, _, k = lines[0].split()
     e_start = 1 + int(n) + int(k)  # p line, v records, b records
@@ -171,6 +173,8 @@ def large_parse_texts(text: str, rng: SplitMix64):
         j = rng.next_below(i + 1)
         es[i], es[j] = es[j], es[i]
     yield "\n".join(head + es) + "\n"
+    yield text.replace("\n", "\r\n")
+    yield "\n".join(lines[:1] + lines[e_start:] + lines[1:e_start]) + "\n"
 
 
 def parse_outcome(text: str) -> tuple:

@@ -111,10 +111,11 @@ def _summary_text(config: BenchConfig, records: list[BenchRecord]) -> str:
     cvck = [r for r in records if r.algo == "cvck"]  # one per instance
     evaluated = sum(1 for r in records if r.algo == "exact")
     feasible = [r for r in cvck if r.optimum is not None]
+    # a tree ensemble reads neither density nor k: its rows carry their own
+    density, k = ("", "") if config.tree else (f" density={config.density}", f" k={config.k}")
     lines = [
-        f"ensemble: sizes={list(config.sizes)} trials={config.trials} "
-        f"density={config.density} budget_mode={config.budget_mode} "
-        f"tree={config.tree} k={config.k} seed={config.seed}",
+        f"ensemble: sizes={list(config.sizes)} trials={config.trials}{density} "
+        f"budget_mode={config.budget_mode} tree={config.tree}{k} seed={config.seed}",
         f"instances: {len(cvck)} (oracle evaluated: {evaluated}, "
         f"oracle feasible: {len(feasible)})",
     ]

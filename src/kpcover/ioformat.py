@@ -28,14 +28,16 @@ decimal text to vertex is built from those records, so it never holds more
 than the file gave, and a hit is a vertex already checked to lie in 1..n;
 its int is shared by every edge that names it. The neighbour lists are
 allocated then too, so a hostile header allocates nothing; e lines read
-before that point wait in one flat list and join the lists in file order.
+before that point wait in one flat list and join the lists in file order,
+each endpoint mapped through the table, as the line reader maps the e
+records it reads after that point, so no endpoint is an int of its own.
 
 After that point a run of plain e lines, the same shape led by `e`, is read
 in chunks the same way. A chunk is checked before any of it is kept: every
 second field must be in the table, and every first field is looked up once
 per group of consecutive lines with equal first fields, so those lookups
-cost one per vertex, not one per edge. A chunk in canonical order (below)
-has u < v on every line; in any other, a self-loop is ruled out by
+cost one per vertex, not one per edge. A chunk that keeps canonical order
+(below) has u < v on every line; in any other, a self-loop is ruled out by
 comparing each line's two fields as text. A chunk with a self-loop or a
 field the table lacks (a leading zero or a vertex outside 1..n) is read
 line by line instead, and the cap keeps the chunk's token lists small
@@ -44,29 +46,30 @@ group's second endpoints, then go to graph._add_tail, the fill step every
 builder shares: the tail onto u's list in one +=, and u onto each tail
 vertex's list, with no tuple per edge.
 
-Canonical text gives its edges with u < v and strictly ascending. Then every
-group's u is above the last one's (or equal to it where a group spans two
-chunks, with its tail going on past the last one's), its tail starts above u
-and rises, and every neighbour list comes out strictly ascending: smaller
-neighbours arrive first, with their own groups, then the tail. Each group is
-checked so; a chunk whose first line is written v u is grouped by its second
-fields, so text with every pair the other way round passes too. Text in any
-other order only drops the check, and graph._graph then finishes the lists
-with the shared ordering rule: the lists that are not strictly ascending
-are sorted in place, and a pair given twice, an equal neighbour in a sorted
-list, is kept once, so the graph has fewer edges than the p line declares.
-This module only reads text: graph.py alone orders the lists and builds the
-Graph. Intra-part edges are found after the loop with one set per part of
-the built graph, the union of its members' neighbour tails, tested against
-the part. Only to name the line of an intra-part or repeated edge are the e
-records read again from the text.
+Canonical text gives its edges with u < v and strictly ascending, and
+every neighbour list then comes out strictly ascending: smaller neighbours
+arrive first, with their own groups, then the tail. One rule, applied by
+the bulk e reader alone, keeps track of that order: last is the previous
+edge while every edge so far came in canonical order, and a group u, tail
+keeps that order iff (u, tail[0]) follows last, u < tail[0] and the tail
+rises; a group that spans two chunks is two groups, the second following
+the first. An e record read by the line reader, after the v records or
+before the last of them, sets last to None, as does any group that breaks
+the rule. Then graph._graph finishes the lists with the shared ordering
+rule: the lists that are not strictly ascending are sorted in place, and a
+pair given twice, an equal neighbour in a sorted list, is kept once, so the
+graph has fewer edges than the p line declares. This module only reads
+text: graph.py alone orders the lists and builds the Graph. Intra-part
+edges are found after the loop with one set per part of the built graph,
+the union of its members' neighbour tails, tested against the part. Only
+to name the line of an intra-part or repeated edge are the e records read
+again from the text.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Sequence
-from itertools import chain, groupby, islice
+from itertools import accumulate, chain, groupby
 from operator import eq, lt
 
 from .errors import ParseError
@@ -100,16 +103,18 @@ def parse_instance(text: str) -> Instance:
                         lineno += len(parts[0])
                         pos = run.end()
                         if len(v_records) == n:
-                            ids, adj, last = _lists(v_records, early, last)
+                            ids, adj = _lists(v_records, early)
                         continue
                     bulk_from = run.end()  # the loop below names the first bad line
             else:
                 run = _E_RUN.match(text, pos)
                 if run is not None:
-                    chunk = _e_chunk(run[0], ids)
+                    chunk = _e_chunk(run[0], ids, last)
                     if chunk is not None:
-                        last = _add_tails(adj, *chunk, last)
-                        lineno += run[0].count("\n")
+                        us, sizes, vs, last = chunk
+                        for u, end, count in zip(us, accumulate(sizes), sizes):
+                            _add_tail(adj, u, vs[end - count:end])
+                        lineno += len(vs)
                         pos = run.end()
                         continue
                     bulk_from = run.end()
@@ -149,8 +154,9 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError(lineno, "Syntax", f"edge ({x}, {y}) outside 1..{n}")
             if ids is None:
                 early += (x, y)
-            else:
-                last = _add_tails(adj, (x,), (1,), (y,), x < y, last)
+            else:  # through ids, so every edge holds its vertices' one int
+                _add_tail(adj, ids[str(x)], (ids[str(y)],))
+            last = None
         elif kind == "v":
             if not (0 < x <= n):
                 raise ParseError(lineno, "Syntax", f"vertex {x} outside 1..{n}")
@@ -160,7 +166,7 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError(lineno, "DuplicateRecord", f"vertex {x} assigned twice")
             v_records[x] = y
             if len(v_records) == n:  # every vertex read: bulk e runs may start
-                ids, adj, last = _lists(v_records, early, last)
+                ids, adj = _lists(v_records, early)
         else:
             if not (0 < x <= k):
                 raise ParseError(lineno, "Syntax", f"part {x} outside 1..{k}")
@@ -234,73 +240,54 @@ def _v_chunk(run: str, n: int, k: int,
     return None
 
 
-def _lists(v_records: dict[int, int], early: list[int], last: tuple[int, int] | None
-           ) -> tuple[dict[str, int], list[list[int]], tuple[int, int] | None]:
-    """Once all n v records are read: the table from decimal text to vertex,
-    the n + 1 neighbour lists (index 0 unused) holding the e records read
-    so far, and the canonical-order state after them."""
+def _lists(v_records: dict[int, int], early: list[int]
+           ) -> tuple[dict[str, int], list[list[int]]]:
+    """Once all n v records are read: the table from decimal text to vertex
+    and the n + 1 neighbour lists (index 0 unused) holding the e records
+    read so far, each endpoint mapped through the table."""
+    ids = {str(v): v for v in v_records}
     adj: list[list[int]] = [[] for _ in range(len(v_records) + 1)]
     for u, v in zip(early[::2], early[1::2]):
-        last = _add_tails(adj, (u,), (1,), (v,), u < v, last)
+        _add_tail(adj, ids[str(u)], (ids[str(v)],))
     early.clear()
-    return {str(v): v for v in v_records}, adj, last
+    return ids, adj
 
 
-def _e_chunk(run: str, ids: dict[str, int]
-             ) -> tuple[list[int], list[int], list[int], bool] | None:
+def _e_chunk(run: str, ids: dict[str, int], last: tuple[int, int] | None
+             ) -> tuple[list[int], list[int], list[int], tuple[int, int] | None] | None:
     """An _E_RUN match's lines, every field mapped through ids (decimal
     text -> vertex, for every vertex 1..n), in groups of consecutive lines
     with the same first field: each group's first endpoint, each group's
     size, the second endpoints in file order (the groups' tails, one after
-    the other), and whether the chunk alone is in canonical order. A chunk
-    whose first line has u > v is grouped by its second fields instead, so
-    text that writes every pair the other way round reads as canonical text
-    does. None when a field is not in ids or a line is a self-loop; the
-    caller then reads the run line by line. Two flat lists, not one tuple
-    per group, keep text in any order as light as canonical text."""
+    the other), and the canonical-order state after the chunk, given last,
+    the state before it (module docstring). None when a field is not in ids
+    or a line is a self-loop; the caller then reads the run line by line.
+    Flat lists, not one tuple per group, keep text in any order as light
+    as canonical text."""
     fields = run.split()
     firsts, seconds = fields[1::3], fields[2::3]
     us: list[int] = []
     sizes: list[int] = []
-    ordered, prev, i = True, 0, 0
+    i = 0
     try:
-        if ids[firsts[0]] > ids[seconds[0]]:  # written v u: group by the smaller field
-            firsts, seconds = seconds, firsts
         vs = list(map(ids.__getitem__, seconds))
         for u, group in groupby(firsts):
             size = len(list(group))
             u = ids[u]
-            if ordered:
+            if last is not None:
                 tail = vs[i:i + size]
-                ordered = prev < u < tail[0] and all(map(lt, tail, islice(tail, 1, None)))
+                last = ((u, tail[-1]) if last < (u, tail[0])
+                        and all(map(lt, (u, *tail), tail)) else None)
             us.append(u)
             sizes.append(size)
-            prev = u
             i += size
     except KeyError:
         return None
-    # an ordered chunk has u < v on every line; else compare each line's
-    # fields, equal as text iff equal as vertices since both are in ids
-    if not ordered and any(map(eq, firsts, seconds)):
+    # a chunk that kept the order has u < v on every line; else compare each
+    # line's fields, equal as text iff equal as vertices since both are in ids
+    if last is None and any(map(eq, firsts, seconds)):
         return None
-    return us, sizes, vs, ordered
-
-
-def _add_tails(adj: list[list[int]], us: Sequence[int], sizes: Sequence[int],
-               vs: Sequence[int], ordered: bool,
-               last: tuple[int, int] | None) -> tuple[int, int] | None:
-    """Add the edges of _e_chunk's groups, in canonical order by themselves
-    if ordered, to the neighbour lists, each group by graph._add_tail with
-    its u and tail. last is the previous edge while every edge so far came
-    in canonical order, else None; the same is returned after these edges."""
-    if last is not None:
-        last = (us[-1], vs[-1]) if ordered and (
-            last[0] < us[0] or last[0] == us[0] and last[1] < vs[0]) else None
-    i = 0
-    for u, size in zip(us, sizes):
-        _add_tail(adj, u, vs[i:i + size])
-        i += size
-    return last
+    return us, sizes, vs, last
 
 
 def _e_records(text: str):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import io
 import json
@@ -77,8 +78,7 @@ BENCH_PINS = [
      "094e16df086a93544a6d7b8f3013fb782fcb81e3ab303cdd609d7abca8cee84a"),
     (["--sizes", "6,9", "--trials", "3", "--tree", "--budget-mode", "slack:2",
       "--seed", "11"],
-     "ensemble: sizes=[6, 9] trials=3 density=0.5 budget_mode=slack:2 "
-     "tree=True k=3 seed=11\n"
+     "ensemble: sizes=[6, 9] trials=3 budget_mode=slack:2 tree=True seed=11\n"
      "instances: 6 (oracle evaluated: 6, oracle feasible: 6)\n"
      "heuristic success_rate: 1.0000 (denominator: oracle-feasible)\n"
      "gap histogram (heuristic vs optimum): {0: 5, 1: 1}\n"
@@ -538,6 +538,31 @@ class TestBench:
         assert main(["bench", "--sizes", sizes, "--out", str(out_path)]) == 2
         assert capsys.readouterr().err == f"error: bad sizes list {sizes!r}\n"
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("tree", [False, True], ids=["kpartite", "tree"])
+    def test_rows_regenerate_through_gen(self, tmp_path, capsys, tree):
+        # each row names its instance: gen with the row's fields makes it
+        # again, and solve gives the row's outcome
+        out_path = tmp_path / "bench.csv"
+        assert main(["bench", "--sizes", "9,12", "--trials", "3", "--seed", "5",
+                     "--budget-mode", "exact", *["--tree"] * tree,
+                     "--out", str(out_path)]) == 0
+        with open(out_path, newline="") as f:
+            rows = [row for row in csv.DictReader(f) if row["algo"] == "cvck"]
+        assert {row["status"] for row in rows} == {"Success", "HeuristicFailure"}
+        for row in rows:
+            shape = ["--tree"] if tree else ["--k", row["k"], "--density", row["density"]]
+            capsys.readouterr()
+            assert main(["gen", "--n", row["n"], *shape, "--seed", row["seed"],
+                         "--budget-mode", row["budget_mode"]]) == 0
+            path = write(tmp_path, "g.kpvc", capsys.readouterr().out)
+            code = main(["solve", path, "--algo", "cvck"])
+            res = json.loads(capsys.readouterr().out)
+            assert (res["status"], res["op_count"]) == (row["status"], int(row["op_count"]))
+            if row["status"] == "Success":
+                assert (code, str(res["size"])) == (0, row["size"])
+            else:  # a failure's partial cover is not a cover: no size in the row
+                assert (code, row["size"]) == (4, "")
 
     @pytest.mark.parametrize("flags, summary, csv_sha256", BENCH_PINS,
                              ids=["oracle-on-some", "tree-claim", "no-oracle"])

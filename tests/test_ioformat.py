@@ -299,6 +299,15 @@ def _peak(text):
         tracemalloc.stop()
 
 
+def _kept(text):
+    """parse_instance(text) and the memory it keeps, as tracemalloc counts it."""
+    tracemalloc.start()
+    try:
+        return parse_instance(text), tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
 class TestEdgeRun:
     """The run of e records canonical text ends with, read in bulk, against
     the same text read line by line, with the v and e runs turned off."""
@@ -506,8 +515,8 @@ class TestBulkRun:
         inst, peak = _peak("".join(head + es))
         assert inst == canonical
         assert peak <= 1.15 * canonical_peak
-        # every pair written v u, in canonical order otherwise, needs no sort
-        assert sorts == ([] if order == "flipped" else [order])
+        # only canonical text keeps every list ascending as it fills
+        assert sorts == [order]
 
     def test_v_records_after_the_first_run(self):
         # bulk reading starts at the last v record, so the first chunk is
@@ -540,9 +549,33 @@ class TestBulkRun:
 
     def test_endpoints_share_the_vertex_ints(self):
         # ids above 256 read by int() are one object per endpoint; through
-        # the table every edge holds its vertex's one int
-        with_run, without_run = self.peaks(GenSpec(n=600, k=4, density=0.5, seed=41))
-        assert with_run <= 0.9 * without_run
+        # the table every edge holds its vertex's one int, whichever reader
+        # read it
+        text = serialize_instance(gen_kpartite(GenSpec(n=600, k=4, density=0.5, seed=41)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ioformat, "_E_RUN", _NO_RUN)
+            line_read = parse_instance(text)
+        for inst in (parse_instance(text), line_read):
+            ints = {id(v) for nbrs in inst.graph.adjacency for v in nbrs}
+            assert len(ints) == sum(map(bool, inst.graph.adjacency)) == 600
+
+    @pytest.mark.parametrize("variant", ["crlf", "e-first"])
+    def test_line_read_text_keeps_what_lf_text_keeps(self, variant):
+        # both variants send every e record through the line reader: CR LF
+        # line ends match no run, and e records before the v records wait
+        # for the table
+        n = 400
+        text = serialize_instance(gen_kpartite(GenSpec(n=n, k=4, density=0.5, seed=n)))
+        if variant == "crlf":
+            other = text.replace("\n", "\r\n")
+        else:
+            lines = text.splitlines(keepends=True)
+            e_start = 1 + n + 4
+            other = "".join(lines[:1] + lines[e_start:] + lines[1:e_start])
+        inst, kept = _kept(other)
+        canonical, canonical_kept = _kept(text)
+        assert inst == canonical
+        assert kept <= 1.1 * canonical_kept
 
 
 def _v_text(n, edit=None, at=None):
