@@ -111,7 +111,7 @@ def _summary_text(config: BenchConfig, records: list[BenchRecord]) -> str:
     cvck = [r for r in records if r.algo == "cvck"]  # one per instance
     evaluated = sum(1 for r in records if r.algo == "exact")
     feasible = [r for r in cvck if r.optimum is not None]
-    # a tree ensemble reads neither density nor k: its rows carry their own
+    # a tree ensemble reads neither: its rows have no density and their own k
     density, k = ("", "") if config.tree else (f" density={config.density}", f" k={config.k}")
     lines = [
         f"ensemble: sizes={list(config.sizes)} trials={config.trials}{density} "

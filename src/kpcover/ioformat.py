@@ -46,24 +46,24 @@ group's second endpoints, then go to graph._add_tail, the fill step every
 builder shares: the tail onto u's list in one +=, and u onto each tail
 vertex's list, with no tuple per edge.
 
-Canonical text gives its edges with u < v and strictly ascending, and
-every neighbour list then comes out strictly ascending: smaller neighbours
-arrive first, with their own groups, then the tail. One rule, applied by
-the bulk e reader alone, keeps track of that order: last is the previous
-edge while every edge so far came in canonical order, and a group u, tail
-keeps that order iff (u, tail[0]) follows last, u < tail[0] and the tail
-rises; a group that spans two chunks is two groups, the second following
-the first. An e record read by the line reader, after the v records or
-before the last of them, sets last to None, as does any group that breaks
-the rule. Then graph._graph finishes the lists with the shared ordering
-rule: the lists that are not strictly ascending are sorted in place, and a
-pair given twice, an equal neighbour in a sorted list, is kept once, so the
-graph has fewer edges than the p line declares. This module only reads
-text: graph.py alone orders the lists and builds the Graph. Intra-part
-edges are found after the loop with one set per part of the built graph,
-the union of its members' neighbour tails, tested against the part. Only
-to name the line of an intra-part or repeated edge are the e records read
-again from the text.
+Canonical text gives its edges with u < v and strictly ascending, and every
+neighbour list then comes out strictly ascending: smaller neighbours arrive
+first, with their own groups, then the tail. One rule, applied by the bulk
+e reader alone, keeps track of that order: last is the previous edge while
+every edge so far came in canonical order, and a group u, tail keeps that
+order iff (u, tail[0]) follows last, u < tail[0] and the tail rises; a
+group that spans two chunks is two groups, the second following the first.
+An e record read by the line reader, after the v records or before the last
+of them, sets last to None, as does any group that breaks the rule;
+serialize_instance's text sends no e record there. Once last is None,
+graph._graph finishes the lists with the shared ordering rule: the lists
+that are not strictly ascending are sorted in place, and a pair given
+twice, an equal neighbour in a sorted list, is kept once, so the graph has
+fewer edges than the p line declares. This module only reads text: graph.py
+alone orders the lists and builds the Graph. Intra-part edges are found
+after the loop with one set per part of the built graph, the union of its
+members' neighbour tails, tested against the part. Only to name the line of
+an intra-part or repeated edge are the e records read again from the text.
 """
 
 from __future__ import annotations
